@@ -37,6 +37,7 @@ __all__ = [
     "genealogy_indicator",
     "reduce_collection",
     "enumerate_increasing_collections",
+    "pairwise_split_requirements",
     "enumerate_partitions",
     "hereditary_check",
     "Constraint",
@@ -129,17 +130,8 @@ def enumerate_partitions(ground):
     if not items:
         yield Partition(())
         return
-
-    def rec(rest, blocks):
-        if not rest:
-            yield Partition.make(blocks)
-            return
-        first, tail = rest[0], rest[1:]
-        for j in range(len(blocks)):
-            yield from rec(tail, blocks[:j] + [blocks[j] + [first]] + blocks[j + 1 :])
-        yield from rec(tail, blocks + [[first]])
-
-    yield from rec(items[1:], [[items[0]]])
+    for blocks in _set_partitions_of(items):
+        yield Partition.make(blocks)
 
 
 def _set_partitions_of(items):
@@ -417,21 +409,55 @@ def genealogy_indicator(tree: MarkedTree, xs, times, coll: IncreasingCollection)
 # ---------------------------------------------------------------------------
 
 
+def pairwise_split_requirements(svec, coll: IncreasingCollection) -> dict:
+    """Required ancestor depth per slot pair.
+
+    A tuple carries the signature (svec, coll) exactly when each slot pair
+    (a, b) has its most recent common ancestor at generation s_c - 1, where
+    c is the first refinement step separating a and b.
+    """
+    svec = tuple(svec)
+    out = {}
+    k = coll.k
+    for a, b in itertools.combinations(range(1, k + 1), 2):
+        for i in range(1, coll.depth + 1):
+            blocks = coll.levels[i].blocks
+            if not any(a in blk and b in blk for blk in blocks):
+                out[(a, b)] = svec[i - 1] - 1
+                break
+    return out
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """Named tuple functional with its heredity generation and sup bound."""
+    """Named tuple functional with its heredity generation.
+
+    ``by_signature(times, coll)``, when set, gives the value as a function
+    of the tuple's genealogical signature alone; tuple sums then split over
+    signatures instead of enumerating tuples.
+    """
 
     name: str
     fn: object
     heredity_generation: float
-    sup_norm: float = 1.0
+    by_signature: object = None
 
     def __call__(self, tree, xs):
         return self.fn(tree, xs)
 
 
+def _signature_constraint(name, value, heredity) -> Constraint:
+    """Constraint whose per-tuple value is read off the tuple's signature."""
+
+    def fn(tree, xs):
+        sig = coalescent_times(tree, xs)
+        return value(sig.times, sig.collection)
+
+    return Constraint(name=name, fn=fn, heredity_generation=heredity, by_signature=value)
+
+
 def constant_one(k: int = None) -> Constraint:
-    return Constraint(name="one", fn=lambda tree, xs: 1.0, heredity_generation=1)
+    return _signature_constraint("one", lambda times, coll: 1.0, 1)
 
 
 def make_f_lambda(lams) -> Constraint:
@@ -442,41 +468,33 @@ def make_f_lambda(lams) -> Constraint:
     """
     lams = tuple(lams)
 
-    def fn(tree, xs):
-        for i in range(1, len(xs)):
-            if mrca_generation(tree, xs[i - 1], xs[i]) >= lams[i - 1]:
-                return 0.0
-        return 1.0
+    def value(times, coll):
+        req = pairwise_split_requirements(times, coll)
+        ok = all(req[(i, i + 1)] < lams[i - 1] for i in range(1, coll.k))
+        return 1.0 if ok else 0.0
 
     finite = [l for l in lams if math.isfinite(l)]
     heredity = max(finite) if finite else 1
-    return Constraint(name=f"f_lambda{lams}", fn=fn, heredity_generation=heredity)
+    return _signature_constraint(f"f_lambda{lams}", value, heredity)
 
 
 def make_f_m(m: int) -> Constraint:
-    """Indicator of a full split by generation m."""
-
-    def fn(tree, xs):
-        return 1.0 if first_full_split(tree, xs) <= m else 0.0
-
-    return Constraint(name=f"f_m{m}", fn=fn, heredity_generation=m)
+    """Indicator of a full split by generation m (the last split time)."""
+    return _signature_constraint(
+        f"f_m{m}", lambda times, coll: 1.0 if times[-1] <= m else 0.0, m
+    )
 
 
 def make_F_ell_s(ell: int, svec, k: int) -> Constraint:
-    """Sum over all increasing collections of the signature indicator at
-    fixed split times svec (length ell)."""
+    """Indicator of split times exactly svec (length ell): the sum over all
+    increasing collections of the signature indicator at those times."""
     svec = tuple(svec)
     if len(svec) != ell:
         raise SignatureError("need one split time per refinement step")
-    colls = list(enumerate_increasing_collections(k, length=ell))
-
-    def fn(tree, xs):
-        total = 0.0
-        for coll in colls:
-            total += genealogy_indicator(tree, xs, svec, coll)
-        return total
-
-    return Constraint(name=f"F_{ell}_{svec}", fn=fn, heredity_generation=svec[-1])
+    return _signature_constraint(
+        f"F_{ell}_{svec}", lambda times, coll: 1.0 if tuple(times) == svec else 0.0,
+        svec[-1],
+    )
 
 
 def hereditary_check(

@@ -15,14 +15,14 @@ import math
 import numpy as np
 
 from .environment import EnvironmentLaw, sample_tilted_walk
-from .errors import AncestryError, CombinatorialCapError, SolverError
+from .errors import AncestryError, SolverError
+from .genealogy import Constraint, constant_one, first_full_split
+from .rangestats import tuple_sum
 from .tree import (
     MarkedTree,
     conductance_H,
-    enumerate_delta_k,
     generate,
     is_ancestor,
-    mrca_generation,
     save_snapshot,
 )
 
@@ -63,7 +63,6 @@ def hit_before_return_oracle(
     dense_limit: int = 2000,
     tol: float = 1e-12,
     max_iter: int = 200_000,
-    dump_on_disagreement: str = None,
 ) -> float:
     """Same probability via the harmonic system h = P h, h(x)=1, h(reflector)=0.
 
@@ -168,44 +167,32 @@ def quenched_mean_quasi_independent(
     Equals s(s-1)...(s-k+1) times the band sum of f(x) * prod over slots of
     exp(-V)/H, restricted to tuples whose full split generation is at most
     ``warmup``. f defaults to 1; it must be hereditary for the asymptotics
-    to apply but the identity itself is exact for any f.
+    to apply but the identity itself is exact for any f. ``f`` is summed
+    as in :func:`gwrange.rangestats.tuple_sum`.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    falling = 1.0
-    for i in range(k):
-        falling *= s - i
-    if falling <= 0.0:
+    if s < k:
         return 0.0
-    band = [
-        int(v)
-        for g in range(lower, min(upper, tree.depth) + 1)
-        for v in tree.generation_ids(g)
-    ]
-    est = 1.0
-    for c in range(k):
-        est *= max(len(band) - c, 0)
-    if est > tuple_cap:
-        raise CombinatorialCapError(f"{est:.3g} tuples exceed cap {tuple_cap}")
-    weight = {v: tree.exp_neg_v[v] / conductance_H(tree, v) for v in band}
-    total = 0.0
-    for tup in enumerate_delta_k(tree, band, k):
-        if warmup is not None:
-            split = 1 + max(
-                mrca_generation(tree, tup[i], tup[j])
-                for i in range(k)
-                for j in range(i + 1, k)
-            )
-            if split > warmup:
-                continue
-        val = 1.0 if f is None else float(f(tree, tup))
-        if val == 0.0:
-            continue
-        w = val
-        for v in tup:
-            w *= weight[v]
-        total += w
-    return falling * total
+    top = min(upper, tree.depth)
+    band = np.arange(tree.gen_offsets[min(lower, top + 1)], tree.gen_offsets[top + 1])
+    weight = np.array([tree.exp_neg_v[v] / conductance_H(tree, int(v)) for v in band])
+    if warmup is not None:
+        f = _within_warmup(f, warmup)
+    return math.perm(s, k) * tuple_sum(tree, band, k, f, [weight] * k, tuple_cap)
+
+
+def _within_warmup(f, warmup: int) -> Constraint:
+    """f restricted to tuples fully split by ``warmup``, keeping f's
+    signature form when it has one."""
+    base = constant_one() if f is None else f
+    value = getattr(base, "by_signature", None)
+    return Constraint(
+        name=getattr(base, "name", "custom"),
+        fn=lambda tree, xs: base(tree, xs) if first_full_split(tree, xs) <= warmup else 0.0,
+        heredity_generation=warmup,
+        by_signature=value and (lambda t, coll: value(t, coll) if t[-1] <= warmup else 0.0),
+    )
 
 
 def phi(

@@ -2,16 +2,19 @@
 
 The central object is the constrained tuple count over a generation band
 of the visited set: the sum of a tuple functional over all ordered
-k-tuples of distinct, pairwise non-ancestral vertices. Tuples are further
-classified by how their vertices distribute over excursions (all distinct
-excursions, all in one shared excursion, or mixed), and a quasi-independent
-version fixes which excursion visits which slot. Evaluations only read
-the trace and tree; tuple streams use a fixed deterministic order so
-repeated runs accumulate identically.
+k-tuples of distinct, pairwise non-ancestral vertices. Such a sum splits
+over the tuples' genealogical signatures; :func:`signature_sum` computes
+one signature's share by group sums on the induced ancestor forest, with
+a Moebius sum over ordered distinct children at each split (Rota 1964),
+without visiting tuples. Tuples are further classified by how their
+vertices distribute over excursions (all distinct excursions, all in one
+shared excursion, or mixed), and a quasi-independent version fixes which
+excursion visits which slot.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,10 +24,20 @@ import numpy as np
 from .errors import CombinatorialCapError, EmptySupportError, TupleError
 from .tree import MarkedTree, enumerate_delta_k, is_ancestor
 from .walk import RangeSlice, WalkTrace
-from .genealogy import first_full_split
+from .genealogy import (
+    GenealogySignature,
+    enumerate_increasing_collections,
+    enumerate_partitions,
+    first_full_split,
+    make_f_m,
+)
 
 __all__ = [
     "RangeStat",
+    "AncestorForest",
+    "signature_sum",
+    "reference_tuple_sum",
+    "tuple_sum",
     "general_range",
     "classify_tuple_excursions",
     "excursion_class_masses",
@@ -44,52 +57,214 @@ CLASS_UNVISITED = "not-all-visited"
 
 @dataclass(frozen=True)
 class RangeStat:
-    """A constrained band tuple count with its normalization and class split."""
+    """A constrained band tuple count with its normalization."""
 
     value: float
     tuple_count: int
     normalization: float
     constraint: str
     k: int
-    class_masses: dict = None
 
 
-def _pair_total(n: int, k: int) -> int:
-    out = 1
-    for c in range(k):
-        out *= max(n - c, 0)
-    return out
+@dataclass(frozen=True)
+class AncestorForest:
+    """Induced ancestor forest of a point set, compact labels per generation.
+
+    Generation g holds ``sizes[g]`` labels; ``up[g]`` maps each of them to
+    its parent's label at g - 1 (``up[0]`` is empty: generation-0 labels
+    are the roots). Point i sits at generation ``point_gen[i]`` with label
+    ``point_label[i]``; per-slot weight arrays are aligned with the points.
+    """
+
+    up: tuple
+    sizes: tuple
+    point_gen: np.ndarray
+    point_label: np.ndarray
+
+    @property
+    def depth(self) -> int:
+        return len(self.sizes) - 1
+
+    @classmethod
+    def of_vertices(cls, tree: MarkedTree, ids) -> "AncestorForest":
+        """Ancestors of tree vertices ``ids`` (any generations), one root."""
+        ids = np.asarray(ids, dtype=np.int64)
+        gens = tree.gen[ids].astype(np.int64)
+        anc = tree.ancestor_matrix(ids)[:, : int(gens.max(initial=0)) + 1]
+        verts = [np.unique(col[col >= 0]) for col in anc.T]
+        up = (np.zeros(0, dtype=np.int64),) + tuple(
+            np.searchsorted(verts[g - 1], tree.parent[verts[g]]) for g in range(1, len(verts))
+        )
+        # tree ids run in generation order, so the concatenation is sorted
+        offsets = np.cumsum([0] + [len(v) for v in verts])
+        labels = np.searchsorted(np.concatenate(verts), ids) - offsets[gens]
+        return cls(up, tuple(len(v) for v in verts), gens, labels)
+
+    @classmethod
+    def of_levels(cls, parents) -> "AncestorForest":
+        """Forest from per-level parent rows (``parents[0]`` one entry per
+        root); the points are the labels of the deepest level."""
+        n = len(parents[-1])
+        return cls((np.zeros(0, dtype=np.int64),) + tuple(parents[1:]),
+                   tuple(len(p) for p in parents), np.full(n, len(parents) - 1), np.arange(n))
+
+    def roll_up(self, vals: np.ndarray, g: int, a: int) -> np.ndarray:
+        """Sum generation-g values over the descendants of each generation-a label."""
+        for h in range(g, a, -1):
+            vals = np.bincount(self.up[h], weights=vals, minlength=self.sizes[h - 1])
+        return vals
+
+    def subtree_sums(self, w: np.ndarray) -> list:
+        """Per generation g, the point-weight total below each label."""
+        offsets = np.cumsum((0,) + self.sizes)
+        own = np.bincount(offsets[self.point_gen] + self.point_label, weights=w,
+                          minlength=offsets[-1])
+        out = [own[offsets[-2]:]]
+        for g in range(self.depth, 0, -1):
+            out.insert(0, own[offsets[g - 1] : offsets[g]] + self.roll_up(out[0], g, g - 1))
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _mobius_terms(r: int) -> tuple:
+    """(coefficient, groups) of the Moebius sum over ordered distinct r-tuples:
+    sum over set partitions of prod over blocks of (-1)^(|B|-1) (|B|-1)!."""
+    return tuple(
+        (math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part.blocks),
+         tuple(tuple(i - 1 for i in b) for b in part.blocks))
+        for part in enumerate_partitions(range(1, r + 1))
+    )
+
+
+def _split_plan(coll, block=None, j=0):
+    """Slot number of a singleton block, else (step at which the block
+    splits, plans of its sub-blocks there)."""
+    block = coll.levels[0].blocks[0] if block is None else block
+    if len(block) == 1:
+        return block[0]
+    p = j + 1
+    while block in coll.levels[p].blocks:
+        p += 1
+    parts = [c for c in coll.levels[p].blocks if set(c) <= set(block)]
+    return p, tuple(_split_plan(coll, c, p) for c in parts)
+
+
+def _plan_sum(forest, plan, times, anchor, sub):
+    """Per generation-``anchor`` label: the weighted sum over placements of
+    the plan's slots below it with the plan's splits at ``times``."""
+    if isinstance(plan, int):
+        return sub[plan - 1][anchor]
+    p, parts = plan
+    t = times[p - 1]
+    if t > forest.depth:
+        return np.zeros(forest.sizes[anchor])
+    kids = [_plan_sum(forest, c, times, t, sub) for c in parts]
+    up, n = forest.up[t], forest.sizes[t - 1]
+    # sum over ordered distinct children c_1..c_r of prod kids[i][c_i]
+    sums = {}
+    total = 0.0
+    for coef, groups in _mobius_terms(len(kids)):
+        term = coef
+        for grp in groups:
+            if grp not in sums:
+                prod = kids[grp[0]]
+                for i in grp[1:]:
+                    prod = prod * kids[i]
+                sums[grp] = np.bincount(up, weights=prod, minlength=n)
+            term = term * sums[grp]
+        total = total + term
+    return forest.roll_up(total, t - 1, anchor)
+
+
+def _slot_sums(forest, k, weights):
+    """Per slot, the subtree sums of its weights (default all ones)."""
+    if weights is None:
+        weights = [np.ones(len(forest.point_gen))] * k
+    if len(weights) != k:
+        raise ValueError("need one weight array per slot")
+    return [forest.subtree_sums(w) for w in weights]
+
+
+def signature_sum(forest: AncestorForest, times, coll, weights=None) -> np.ndarray:
+    """Per-root sum of prod_i weights[i](x_i) over admissible ordered
+    k-tuples of the forest's points with signature (times, coll).
+
+    ``weights`` holds one array per slot aligned with the points (default
+    all ones). Unit weights give exact integer counts below 2^53.
+    """
+    times = GenealogySignature(tuple(int(t) for t in times), coll).times
+    sub = _slot_sums(forest, coll.k, weights)
+    return _plan_sum(forest, _split_plan(coll), times, 0, sub)
+
+
+def _enumerated(f) -> bool:
+    """True for a callable without a signature form: it is summed tuple by tuple."""
+    return f is not None and getattr(f, "by_signature", None) is None
+
+
+def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None,
+                        tuple_cap: int = DEFAULT_TUPLE_CAP):
+    """Per-tuple reference: (sum, count) over the admissible ordered
+    k-tuples xs of ``ids`` of f(tree, xs) * prod_i w_i(xs[i]), streamed in
+    the fixed order of :func:`enumerate_delta_k`. ``weights`` holds one
+    array per slot aligned with ``ids`` (default all ones). Refuses beyond
+    ``tuple_cap`` tuples.
+    """
+    if math.perm(len(ids), k) > tuple_cap:
+        raise CombinatorialCapError(
+            f"{math.perm(len(ids), k):.3g} ordered tuples exceed cap {tuple_cap}"
+        )
+    ids = [int(v) for v in ids]
+    if weights is not None:
+        weights = [dict(zip(ids, w.tolist())) for w in weights]
+    total = 0.0
+    count = 0
+    for tup in enumerate_delta_k(tree, ids, k):
+        count += 1
+        val = 1.0 if f is None else float(f(tree, tup))
+        if val == 0.0:
+            continue
+        if weights is not None:
+            for w, x in zip(weights, tup):
+                val *= w[x]
+        total += val
+    return total, count
+
+
+def tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None,
+              tuple_cap: int = DEFAULT_TUPLE_CAP) -> float:
+    """Sum over the admissible ordered k-tuples xs of ``ids`` of
+    f(tree, xs) * prod_i w_i(xs[i]), weights aligned with ``ids``.
+
+    ``f`` None (every tuple counts one) or a constraint with a signature
+    form is summed signature by signature on the ancestor forest of
+    ``ids``, with no size cap; any other callable goes through
+    :func:`reference_tuple_sum` under ``tuple_cap``.
+    """
+    if _enumerated(f):
+        return reference_tuple_sum(tree, ids, k, f, weights, tuple_cap)[0]
+    forest = AncestorForest.of_vertices(tree, ids)
+    sub = _slot_sums(forest, k, weights)
+    value = getattr(f, "by_signature", None)
+    # a split at time t needs a generation-(t-1) label with two children
+    split_times = [
+        t for t in range(1, forest.depth + 1)
+        if len(forest.up[t]) and np.bincount(forest.up[t]).max() >= 2
+    ]
+    total = 0.0
+    for d in range(1, k):
+        for coll in enumerate_increasing_collections(k, length=d):
+            plan = _split_plan(coll)
+            for times in itertools.combinations(split_times, d):
+                v = 1.0 if value is None else value(times, coll)
+                if v != 0.0:
+                    total += v * float(_plan_sum(forest, plan, times, 0, sub).sum())
+    return total
 
 
 def delta_k_count(slice_: RangeSlice, k: int) -> int:
-    """Exact number of admissible ordered k-tuples in the band.
-
-    For k = 2 this is D(D-1) minus twice the number of ancestor pairs;
-    larger k falls back to streaming.
-    """
-    ids = slice_.ids
-    n = len(ids)
-    if n < k:
-        return 0
-    if k == 2:
-        anc_pairs = _ancestor_pair_count(slice_)
-        return n * (n - 1) - 2 * anc_pairs
-    return sum(1 for _ in enumerate_delta_k(slice_.tree, ids, k))
-
-
-def _ancestor_pair_count(slice_: RangeSlice) -> int:
-    tree = slice_.tree
-    present = set(int(v) for v in slice_.ids)
-    count = 0
-    for v in slice_.ids:
-        cur = int(v)
-        g = int(tree.gen[cur])
-        while g > slice_.lower:
-            cur = int(tree.parent[cur])
-            g -= 1
-            if cur in present:
-                count += 1
-    return count
+    """Exact number of admissible ordered k-tuples in the band."""
+    return int(tuple_sum(slice_.tree, slice_.ids, k))
 
 
 def general_range(
@@ -98,13 +273,12 @@ def general_range(
     f=None,
     s: int = None,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
-    with_classes: bool = False,
 ) -> RangeStat:
     """Band tuple sum of f over admissible ordered k-tuples.
 
     Returns 0 when the band holds fewer than k vertices. ``s`` (the
     excursion count) fixes the normalization (s * width)^k; it defaults to
-    the trace's excursion count.
+    the trace's excursion count. ``f`` is summed as in :func:`tuple_sum`.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -112,25 +286,13 @@ def general_range(
         s = slice_.trace.s
     norm = float(s * slice_.width) ** k
     name = "one" if f is None else getattr(f, "name", "custom")
-    n = len(slice_.ids)
-    if n < k:
-        return RangeStat(0.0, 0, norm, name, k, {} if with_classes else None)
-    if _pair_total(n, k) > tuple_cap:
-        raise CombinatorialCapError(
-            f"{_pair_total(n, k):.3g} ordered tuples exceed cap {tuple_cap}"
-        )
-    tree = slice_.tree
-    total = 0.0
-    count = 0
-    masses = {CLASS_DISTINCT: 0.0, CLASS_SAME_SINGLE: 0.0, CLASS_MIXED: 0.0}
-    for tup in enumerate_delta_k(tree, slice_.ids, k):
-        count += 1
-        val = 1.0 if f is None else float(f(tree, tup))
-        total += val
-        if with_classes:
-            cls = classify_tuple_excursions(slice_.trace, tup, s)
-            masses[cls] += 1.0
-    return RangeStat(total, count, norm, name, k, masses if with_classes else None)
+    tree, ids = slice_.tree, slice_.ids
+    if _enumerated(f):
+        total, count = reference_tuple_sum(tree, ids, k, f, tuple_cap=tuple_cap)
+        return RangeStat(total, count, norm, name, k)
+    count = tuple_sum(tree, ids, k)
+    total = count if f is None else tuple_sum(tree, ids, k, f)
+    return RangeStat(total, int(count), norm, name, k)
 
 
 def classify_tuple_excursions(trace: WalkTrace, xs, s: int = None) -> str:
@@ -264,48 +426,42 @@ def quasi_independent_range(slice_: RangeSlice, jvec, g=None) -> float:
     trace, tree = slice_.trace, slice_.tree
     per_slot = []
     for j in jvec:
-        hits = [
+        hits = {
             int(v)
             for row, v in zip(slice_.rows, slice_.ids)
             if j in trace.entry_excursions[row]
-        ]
+        }
         if not hits:
             return 0.0
         per_slot.append(hits)
-    total = 0.0
-    for tup in itertools.product(*per_slot):
-        if len(set(tup)) != k:
-            continue
-        ok = True
-        for a, b in itertools.combinations(tup, 2):
-            lo, hi = (a, b) if tree.gen[a] <= tree.gen[b] else (b, a)
-            if is_ancestor(tree, lo, hi):
-                ok = False
-                break
-        if not ok:
-            continue
-        total += 1.0 if g is None else float(g(tree, tup))
-    return total
+    pool = set().union(*per_slot)
+
+    def f(tree, xs):
+        if not all(x in hits for x, hits in zip(xs, per_slot)):
+            return 0.0
+        return 1.0 if g is None else g(tree, xs)
+
+    ids = [int(v) for v in slice_.ids if int(v) in pool]
+    return reference_tuple_sum(tree, ids, k, f)[0]
 
 
 def sum_quasi_independent(slice_: RangeSlice, k: int, g=None, warmup: int = None) -> float:
     """Sum of the quasi-independent range over all distinct excursion
     k-tuples, computed per tuple through the count of injective
     excursion assignments (a small permanent)."""
-    trace, tree = slice_.trace, slice_.tree
-    total = 0.0
+    trace = slice_.trace
     sets = {
         int(v): [int(e) for e in trace.entry_excursions[row]]
         for row, v in zip(slice_.rows, slice_.ids)
     }
-    for tup in enumerate_delta_k(tree, slice_.ids, k):
-        if warmup is not None and first_full_split(tree, tup) > warmup:
-            continue
-        val = 1.0 if g is None else float(g(tree, tup))
-        if val == 0.0:
-            continue
-        total += val * _injective_assignments([sets[x] for x in tup])
-    return total
+
+    def f(tree, xs):
+        if warmup is not None and first_full_split(tree, xs) > warmup:
+            return 0.0
+        val = 1.0 if g is None else float(g(tree, xs))
+        return val * _injective_assignments([sets[x] for x in xs]) if val else 0.0
+
+    return reference_tuple_sum(slice_.tree, slice_.ids, k, f)[0]
 
 
 def _injective_assignments(sets) -> int:
@@ -337,7 +493,8 @@ def weighted_range_A_l(
     sum over ordered distinct k-tuples at ``level`` of f(x) * exp(-<beta, V(x)>).
 
     beta defaults to all ones. Distinct same-generation vertices are never
-    ancestrally related, so admissibility is automatic.
+    ancestrally related, so admissibility is automatic. ``f`` is summed as
+    in :func:`tuple_sum`.
     """
     if level > tree.depth:
         raise ValueError("level beyond the truncation depth")
@@ -345,53 +502,9 @@ def weighted_range_A_l(
     if len(beta) != k:
         raise ValueError("beta must have length k")
     ids = tree.generation_ids(level)
-    n = len(ids)
-    if n < k:
-        return 0.0
-    if f is None:
-        return _unconstrained_level_sum(tree, ids, beta)
-    if _pair_total(n, k) > tuple_cap:
-        raise CombinatorialCapError(f"{_pair_total(n, k):.3g} tuples exceed cap")
-    env = tree.exp_neg_v
-    total = 0.0
-    for tup in itertools.permutations(ids, k):
-        val = 1.0 if f is None else float(f(tree, tup))
-        if val == 0.0:
-            continue
-        w = val
-        for bi, x in zip(beta, tup):
-            w *= env[x] ** bi if bi != 1.0 else env[x]
-        total += w
-    return total
-
-
-def _unconstrained_level_sum(tree, ids, beta) -> float:
-    """Exact distinct-tuple sum over one generation by inclusion-exclusion.
-
-    Sum over ordered distinct tuples of prod exp(-beta_i V) equals the sum
-    over slot partitions of sign-weighted power sums: coincident slots in a
-    block contribute the power sum of their total weight, with the Moebius
-    factor (-1)^(|B|-1) (|B|-1)! per block.
-    """
-    from .genealogy import enumerate_partitions
-
-    k = len(beta)
-    V = tree.V[ids]
-    powers = {}
-
-    def power_sum(total):
-        if total not in powers:
-            powers[total] = float(np.exp(-total * V).sum())
-        return powers[total]
-
-    total = 0.0
-    for part in enumerate_partitions(range(1, k + 1)):
-        term = 1.0
-        for block in part.blocks:
-            term *= (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
-            term *= power_sum(sum(beta[i - 1] for i in block))
-        total += term
-    return total
+    env = np.exp(-tree.V[ids])
+    powered = {b: env**b for b in set(beta)}
+    return tuple_sum(tree, ids, k, f, [powered[b] for b in beta], tuple_cap)
 
 
 def sample_uniform_tuple(
@@ -427,9 +540,8 @@ def sample_uniform_tuple(
             continue
         return tup
     # verify emptiness before giving up
-    for tup in enumerate_delta_k(tree, ids, k):
-        if split_bound is None or first_full_split(tree, tup) <= split_bound:
-            raise EmptySupportError(
-                f"rejection failed after {max_attempts} attempts on nonempty support"
-            )
+    if tuple_sum(tree, ids, k, None if split_bound is None else make_f_m(split_bound)) > 0:
+        raise EmptySupportError(
+            f"rejection failed after {max_attempts} attempts on nonempty support"
+        )
     raise EmptySupportError("conditioned tuple set is empty")

@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "spawn_keys"]
+__all__ = ["stream"]
 
 
 def _key128(master_seed: int, tag: str, index: int) -> np.ndarray:
@@ -26,8 +26,3 @@ def _key128(master_seed: int, tag: str, index: int) -> np.ndarray:
 def stream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Return the Philox generator keyed by (master_seed, tag, index)."""
     return np.random.Generator(np.random.Philox(key=_key128(master_seed, tag, index)))
-
-
-def spawn_keys(master_seed: int, tag: str, count: int) -> list[tuple[int, str, int]]:
-    """Key tuples for ``count`` replica streams under one (seed, tag)."""
-    return [(master_seed, tag, i) for i in range(count)]

@@ -25,15 +25,24 @@ from .environment import (
     log_laplace,
     moment_c_j,
 )
-from .errors import DomainError, ScheduleInfeasibleError, SignatureError
+from .errors import DomainError, ScheduleInfeasibleError, SignatureError, StepBudgetError
 from .genealogy import (
     Constraint,
     IncreasingCollection,
+    coalescent_times,
     enumerate_increasing_collections,
     first_full_split,
     make_F_ell_s,
+    pairwise_split_requirements,
 )
-from .rangestats import excursion_class_masses, sample_uniform_tuple, weighted_range_A_l
+from .rangestats import (
+    AncestorForest,
+    excursion_class_masses,
+    reference_tuple_sum,
+    sample_uniform_tuple,
+    signature_sum,
+    weighted_range_A_l,
+)
 from .tree import additive_martingale, generate
 from .walk import range_slice, run_excursions
 
@@ -107,25 +116,6 @@ def esp_partition_law(
     return math.exp(log_total)
 
 
-def pairwise_split_requirements(svec, coll: IncreasingCollection) -> dict:
-    """Required ancestor depth per slot pair.
-
-    A tuple carries the signature (svec, coll) exactly when each slot pair
-    (a, b) has its most recent common ancestor at generation s_c - 1, where
-    c is the first refinement step separating a and b.
-    """
-    svec = tuple(svec)
-    out = {}
-    k = coll.k
-    for a, b in itertools.combinations(range(1, k + 1), 2):
-        for i in range(1, coll.depth + 1):
-            blocks = coll.levels[i].blocks
-            if not any(a in blk and b in blk for blk in blocks):
-                out[(a, b)] = svec[i - 1] - 1
-                break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimator of the same mean
 # ---------------------------------------------------------------------------
@@ -145,29 +135,26 @@ def estimate_esp_partition(
     The weighted tuple sum at generation s_ell with the signature indicator
     has the deep-limit mean exactly (conditional-expectation identity), so
     averaging it over independent trees estimates the closed form. Returns
-    (estimate, standard error). A vectorized multi-tree path covers
-    k <= 3; other shapes stream tuples tree by tree.
+    (estimate, standard error). Laws without extinction sum over one
+    forest of ``replicas`` trees with :func:`signature_sum`; ``fast=False``
+    (and any law that can die out) streams tuples tree by tree through the
+    per-tuple reference enumeration.
     """
     if abs(log_laplace(law, 1.0)) > 1e-9:
         raise DomainError("law is not calibrated: transform does not vanish at 1")
     svec = tuple(int(v) for v in svec)
     if coll.k != k or len(svec) != coll.depth:
         raise SignatureError("collection/split-time shape mismatch")
-    if fast and law.min_offspring >= 1 and _fast_shape(k, coll) is not None:
-        return _forest_estimate(law, k, svec, coll, replicas, rng)
-    return _generic_estimate(law, k, svec, coll, replicas, rng)
-
-
-def _fast_shape(k, coll):
-    if k == 2 and coll.depth == 1:
-        return "pair"
-    if k == 3 and coll.depth == 1:
-        return "triple-flat"
-    if k == 3 and coll.depth == 2:
-        sizes = sorted(len(b) for b in coll.levels[1].blocks)
-        if sizes == [1, 2]:
-            return "triple-nested"
-    return None
+    if fast and law.min_offspring >= 1:
+        levels = _forest_rows(law, svec[-1], replicas, rng)
+        forest = AncestorForest.of_levels([lv["parent"] for lv in levels])
+        w = np.exp(-levels[-1]["V"])
+        per_tree = signature_sum(forest, svec, coll, [w] * k)
+    else:
+        per_tree = _generic_estimate(law, k, svec, coll, replicas, rng)
+    est = float(per_tree.mean())
+    se = float(per_tree.std(ddof=1) / math.sqrt(replicas))
+    return est, se
 
 
 def _forest_rows(law, depth, replicas, rng):
@@ -189,119 +176,26 @@ def _forest_rows(law, depth, replicas, rng):
     return levels
 
 
-def _ancestor_rows(levels, upto):
-    """Per terminal vertex, its row index at each level 0..upto."""
-    L = len(levels) - 1
-    n = len(levels[L]["V"])
-    rows = np.arange(n, dtype=np.int64)
-    out = {L: rows.copy()}
-    for g in range(L - 1, -1, -1):
-        rows = levels[g + 1]["parent"][rows]
-        out[g] = rows.copy()
-    return out
-
-
-def _group_sums(labels, weights, n_groups):
-    return np.bincount(labels, weights=weights, minlength=n_groups)
-
-
-def _forest_estimate(law, k, svec, coll, replicas, rng):
-    shape = _fast_shape(k, coll)
-    depth = svec[-1]
-    levels = _forest_rows(law, depth, replicas, rng)
-    anc = _ancestor_rows(levels, depth)
-    term = levels[depth]
-    w = np.exp(-term["V"])
-    tree = term["tree"]
-
-    def group(level):
-        rows = anc[level]
-        n = len(levels[level]["V"])
-        return rows, n
-
-    per_tree = np.zeros(replicas)
-    if shape == "pair":
-        (t,) = svec
-        rows_m, nm = group(t - 1)
-        rows_t, nt = group(t)
-        S_m = _group_sums(rows_m, w, nm)
-        S_t = _group_sums(rows_t, w, nt)
-        tree_m = levels[t - 1]["tree"]
-        tree_t = levels[t]["tree"]
-        np.add.at(per_tree, tree_m, S_m**2)
-        np.add.at(per_tree, tree_t, -(S_t**2))
-    elif shape == "triple-flat":
-        (t,) = svec
-        rows_m, nm = group(t - 1)
-        rows_t, nt = group(t)
-        S_t = _group_sums(rows_t, w, nt)
-        # per m-group: A^3 - 3 A sum(a^2) + 2 sum(a^3) over its t-subgroups
-        A = _group_sums(rows_m, w, nm)
-        parent_of_t = levels[t]["parent"]
-        sum_a2 = np.bincount(parent_of_t, weights=S_t**2, minlength=nm)
-        sum_a3 = np.bincount(parent_of_t, weights=S_t**3, minlength=nm)
-        vals = A**3 - 3.0 * A * sum_a2 + 2.0 * sum_a3
-        np.add.at(per_tree, levels[t - 1]["tree"], vals)
-    else:  # triple-nested
-        s1, s2 = svec
-        rows_m1, nm1 = group(s1 - 1)
-        rows_l1, nl1 = group(s1)
-        rows_m2, nm2 = group(s2 - 1)
-        rows_l2, nl2 = group(s2)
-        S_m1 = _group_sums(rows_m1, w, nm1)
-        S_l1 = _group_sums(rows_l1, w, nl1)
-        S_m2 = _group_sums(rows_m2, w, nm2)
-        S_l2 = _group_sums(rows_l2, w, nl2)
-        # ordered pair mass with ancestor depth exactly s2-1, keyed by the
-        # pair's level-s1 subtree
-        pair_by_m2 = S_m2**2
-        l2_up = levels[s2]["parent"]
-        minus_by_m2 = np.bincount(l2_up, weights=S_l2**2, minlength=nm2)
-        pair_mass_m2 = pair_by_m2 - minus_by_m2
-        rows_m2_to_l1 = _rows_up(levels, s2 - 1, s1)
-        pair_by_l1 = np.bincount(rows_m2_to_l1, weights=pair_mass_m2, minlength=nl1)
-        # third slot: same level-(s1-1) group, different level-s1 subtree
-        l1_up = levels[s1]["parent"]
-        third = S_m1[l1_up] - S_l1
-        vals_by_l1 = pair_by_l1 * third
-        np.add.at(per_tree, levels[s1]["tree"], vals_by_l1)
-    est = float(per_tree.mean())
-    se = float(per_tree.std(ddof=1) / math.sqrt(replicas))
-    return est, se
-
-
-def _rows_up(levels, level_from, level_to):
-    """Map rows at level_from to their ancestor rows at level_to <= level_from."""
-    rows = np.arange(len(levels[level_from]["V"]), dtype=np.int64)
-    for g in range(level_from, level_to, -1):
-        rows = levels[g]["parent"][rows]
-    return rows
-
-
 def _generic_estimate(law, k, svec, coll, replicas, rng):
-    req = pairwise_split_requirements(svec, coll)
+    """Per-tree signature sums by the per-tuple reference enumeration."""
+    req = list(pairwise_split_requirements(svec, coll).items())
     depth = svec[-1]
     vals = np.empty(replicas)
     for rep in range(replicas):
         t = generate(law, depth, rng=rng)
         ids = t.generation_ids(depth)
-        anc = t.ancestor_matrix(ids)
-        env = t.exp_neg_v[ids]
-        total = 0.0
-        for tup in itertools.permutations(range(len(ids)), k):
-            ok = True
-            for (a, b), m in req.items():
-                ia, ib = tup[a - 1], tup[b - 1]
-                if anc[ia, m] != anc[ib, m] or anc[ia, m + 1] == anc[ib, m + 1]:
-                    ok = False
-                    break
-            if ok:
-                wgt = 1.0
-                for i in tup:
-                    wgt *= env[i]
-                total += wgt
-        vals[rep] = total
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+        anc = t.ancestor_matrix(ids).T.tolist()
+        first = int(ids[0])
+
+        def has_signature(tree, xs):
+            for (a, b), m in req:
+                ra, rb = xs[a - 1] - first, xs[b - 1] - first
+                if anc[m][ra] != anc[m][rb] or anc[m + 1][ra] == anc[m + 1][rb]:
+                    return 0.0
+            return 1.0
+
+        vals[rep], _ = reference_tuple_sum(t, ids, k, has_signature, [t.exp_neg_v[ids]] * k)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +550,8 @@ def local_time_law_probe(
                     step_budget=n,
                 )
                 completed = trace.s
-            except Exception as err:
-                partial = getattr(err, "partial", None)
-                if partial is None:
-                    raise
-                completed = len(partial.return_steps) - 1
+            except StepBudgetError as err:
+                completed = len(err.partial.return_steps) - 1
             w = additive_martingale(tree, tree.depth)
             samples.append(completed * w / (math.sqrt(n) * math.sqrt(c0)))
         arr = np.array(samples, dtype=float)
@@ -703,33 +594,24 @@ def signature_sum_identity(tree, k: int, level: int) -> dict:
         d: list(enumerate_increasing_collections(k, length=d)) for d in range(1, k)
     }
     ids = tree.generation_ids(level)
-    env = tree.exp_neg_v
-    lhs = 0.0
-    rhs = 0.0
-    buckets = {}
-    ones = True
-    for tup in itertools.permutations(ids, k):
-        w = 1.0
-        for x in tup:
-            w *= env[x]
-        rhs += w
-        hits = 0
+    weights = [tree.exp_neg_v[ids]] * k
+    seen = set()
+
+    def hits(tree, tup):
+        out = 0
         for d, cs in colls.items():
             for times in itertools.combinations(range(1, level + 1), d):
-                for coll in cs:
-                    if genealogy_indicator(tree, tup, times, coll):
-                        hits += 1
-                        key = (times, coll)
-                        buckets[key] = buckets.get(key, 0.0) + w
-        if hits != 1:
-            ones = False
-        lhs += w * hits
+                out += sum(genealogy_indicator(tree, tup, times, coll) for coll in cs)
+        seen.add(out)
+        return out
+
+    lhs, _ = reference_tuple_sum(tree, ids, k, hits, weights)
+    rhs, _ = reference_tuple_sum(tree, ids, k, None, weights)
     return {
         "lhs": lhs,
         "rhs": rhs,
         "bitwise": lhs == rhs,
-        "unique_signature_per_tuple": ones,
-        "bucket_total": sum(buckets.values()),
+        "unique_signature_per_tuple": seen <= {1},
     }
 
 
@@ -745,18 +627,20 @@ def split_bound_sum_identity(tree, k: int, level: int, bound: int) -> dict:
         for times in itertools.combinations(range(1, bound + 1), ell):
             fams.append(make_F_ell_s(ell, times, k))
     ids = tree.generation_ids(level)
-    env = tree.exp_neg_v
-    lhs = 0.0
-    rhs = 0.0
-    pointwise = True
-    for tup in itertools.permutations(ids, k):
-        w = 1.0
-        for x in tup:
-            w *= env[x]
-        val = sum(f(tree, tup) for f in fams)
-        ind = 1.0 if first_full_split(tree, tup) <= bound else 0.0
-        if val != ind:
-            pointwise = False
-        lhs += w * val
-        rhs += w * ind
-    return {"lhs": lhs, "rhs": rhs, "bitwise": lhs == rhs, "pointwise": pointwise}
+    weights = [tree.exp_neg_v[ids]] * k
+    mismatches = []
+
+    def indicator(tree, tup):
+        return 1.0 if first_full_split(tree, tup) <= bound else 0.0
+
+    def family_sum(tree, tup):
+        # each family's per-tuple value, read off the tuple's signature once
+        sig = coalescent_times(tree, tup)
+        val = sum(f.by_signature(sig.times, sig.collection) for f in fams)
+        if val != indicator(tree, tup):
+            mismatches.append(tup)
+        return val
+
+    lhs, _ = reference_tuple_sum(tree, ids, k, family_sum, weights)
+    rhs, _ = reference_tuple_sum(tree, ids, k, indicator, weights)
+    return {"lhs": lhs, "rhs": rhs, "bitwise": lhs == rhs, "pointwise": not mismatches}

@@ -65,10 +65,11 @@ class TestGeneralRange:
         assert stat.value == count
 
     def test_cap_refusal(self, walked):
+        # only per-tuple enumeration (plain callables) has a size cap
         tree, trace = walked
         sl = range_slice(trace, tree, 2, 7)
         with pytest.raises(CombinatorialCapError):
-            g.general_range(sl, 3, tuple_cap=10)
+            g.general_range(sl, 3, lambda t, xs: 1.0, tuple_cap=10)
 
     def test_hereditary_factorization(self, walked):
         # restricting a hereditary constraint to tuples fully split by m and
