@@ -42,6 +42,7 @@ __all__ = [
     "check_assumptions",
     "many_to_one_step_law",
     "sample_tilted_walk",
+    "tilted_path_values",
     "estimate_c_infinity",
     "moment_c_j",
     "c_zero",
@@ -58,6 +59,8 @@ __all__ = [
 CALIBRATION_TOL = 1e-12
 ROOT_TOL = 1e-9
 KAPPA_T_MAX = 64.0
+# Rows of tilted-walk paths held in memory at once.
+TILTED_BLOCK_ROWS = 4096
 
 # Generation-band formulas use base-10 logarithms (see compute_schedule).
 _LOG = math.log10
@@ -138,7 +141,10 @@ class EnvironmentLaw:
         """Vectorized one-generation draw for ``n_parents`` vertices.
 
         Returns (counts, displacements) with displacements flattened in
-        parent order.
+        parent order. For atom laws the only draw is one
+        ``rng.choice(len(atoms), size=n_parents, p=probs)`` picking each
+        parent's atom; the displacements are read off the chosen atoms.
+        The gaussian family draws one normal per child, in parent order.
         """
         if self.family == "gaussian":
             counts = np.full(n_parents, self.gauss_children, dtype=np.int64)
@@ -148,9 +154,17 @@ class EnvironmentLaw:
         idx = rng.choice(len(self.atoms), size=n_parents, p=probs)
         sizes = np.array([len(d) for _, d in self.atoms], dtype=np.int64)
         counts = sizes[idx]
-        flat = [np.asarray(d, dtype=float) for _, d in self.atoms]
-        # Concatenate per-parent displacement vectors in parent order.
-        disp = np.concatenate([flat[i] for i in idx]) if n_parents else np.empty(0)
+        starts = np.cumsum(counts)
+        disp = np.empty(int(starts[-1]) if n_parents else 0)
+        starts -= counts
+        # One scatter per (atom, child slot) into the parents' blocks.
+        for j, (_, d) in enumerate(self.atoms):
+            if not d:
+                continue
+            pos = np.compress(idx == j, starts)
+            for x in d:
+                disp[pos] = x
+                pos += 1
         return counts, disp
 
 
@@ -393,6 +407,22 @@ def sample_tilted_walk(law: EnvironmentLaw, steps: int, rng: np.random.Generator
     return paths
 
 
+def tilted_path_values(law: EnvironmentLaw, steps: int, rng: np.random.Generator,
+                       replicas: int, fn) -> np.ndarray:
+    """``fn`` applied to the tilted-walk paths, one value per path.
+
+    Paths are drawn in blocks of ``TILTED_BLOCK_ROWS`` rows so memory stays
+    bounded. ``Generator.choice`` fills its uniforms row-major, so the
+    blocks consume the stream exactly as one (replicas, steps+1) draw would
+    and the values are bitwise those of the whole matrix.
+    """
+    out = np.empty(replicas)
+    for lo in range(0, replicas, TILTED_BLOCK_ROWS):
+        hi = min(lo + TILTED_BLOCK_ROWS, replicas)
+        out[lo:hi] = fn(sample_tilted_walk(law, steps, rng, hi - lo))
+    return out
+
+
 @dataclass(frozen=True)
 class CInfinityEstimate:
     value: float
@@ -424,9 +454,9 @@ def estimate_c_infinity(
     lo = 1.0 - math.exp(log_laplace(law, 2.0))
     if truncation == 0:
         return CInfinityEstimate(1.0, 0.0, 0, replicas, (lo, 1.0))
-    paths = sample_tilted_walk(law, truncation, rng, replicas)
-    sums = np.exp(-paths).sum(axis=1)
-    vals = 1.0 / sums
+    vals = tilted_path_values(
+        law, truncation, rng, replicas, lambda paths: 1.0 / np.exp(-paths).sum(axis=1)
+    )
     value = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicas))
     return CInfinityEstimate(value, se, truncation, replicas, (lo, 1.0))

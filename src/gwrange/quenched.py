@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .environment import EnvironmentLaw, sample_tilted_walk
+from .environment import EnvironmentLaw, tilted_path_values
 from .errors import AncestryError, SolverError
 from .genealogy import Constraint, constant_one, first_full_split
 from .rangestats import tuple_sum
@@ -225,10 +225,12 @@ def phi(
     if mode == "auto":
         mode = "tree" if d <= depth_cap else "tilted"
     if mode == "tilted":
-        paths = sample_tilted_walk(law, d, rng, replicas)
-        end = paths[:, -1]
-        h = np.exp(paths - end[:, None]).sum(axis=1)
-        vals = 1.0 / ((r - 1.0) * np.exp(-end) + h)
+        def value(paths):
+            end = paths[:, -1]
+            h = np.exp(paths - end[:, None]).sum(axis=1)
+            return 1.0 / ((r - 1.0) * np.exp(-end) + h)
+
+        vals = tilted_path_values(law, d, rng, replicas, value)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
     if mode != "tree":
         raise ValueError(f"unknown mode {mode!r}")

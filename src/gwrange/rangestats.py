@@ -206,9 +206,10 @@ def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None,
                         tuple_cap: int = DEFAULT_TUPLE_CAP):
     """Per-tuple reference: (sum, count) over the admissible ordered
     k-tuples xs of ``ids`` of f(tree, xs) * prod_i w_i(xs[i]), streamed in
-    the fixed order of :func:`enumerate_delta_k`. ``weights`` holds one
-    array per slot aligned with ``ids`` (default all ones). Refuses beyond
-    ``tuple_cap`` tuples.
+    the fixed order of :func:`enumerate_delta_k` and summed exactly
+    (``math.fsum``), so the sum depends only on the multiset of terms.
+    ``weights`` holds one array per slot aligned with ``ids`` (default all
+    ones). Refuses beyond ``tuple_cap`` tuples.
     """
     if math.perm(len(ids), k) > tuple_cap:
         raise CombinatorialCapError(
@@ -217,17 +218,21 @@ def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None,
     ids = [int(v) for v in ids]
     if weights is not None:
         weights = [dict(zip(ids, w.tolist())) for w in weights]
-    total = 0.0
     count = 0
-    for tup in enumerate_delta_k(tree, ids, k):
-        count += 1
-        val = 1.0 if f is None else float(f(tree, tup))
-        if val == 0.0:
-            continue
-        if weights is not None:
-            for w, x in zip(weights, tup):
-                val *= w[x]
-        total += val
+
+    def terms():
+        nonlocal count
+        for tup in enumerate_delta_k(tree, ids, k):
+            count += 1
+            val = 1.0 if f is None else float(f(tree, tup))
+            if val == 0.0:
+                continue
+            if weights is not None:
+                for w, x in zip(weights, tup):
+                    val *= w[x]
+            yield val
+
+    total = math.fsum(terms())  # exhausts the stream before count is read
     return total, count
 
 

@@ -585,8 +585,8 @@ def signature_sum_identity(tree, k: int, level: int) -> dict:
     Every admissible tuple at one generation carries exactly one signature
     with times up to that generation, so summing the constrained weighted
     tuple sums over all signatures reproduces the unconstrained sum. Both
-    sides are accumulated in the same tuple order, making the comparison
-    bitwise.
+    sides are exact sums of the same multiset of terms, making the
+    comparison bitwise.
     """
     from .genealogy import genealogy_indicator
 

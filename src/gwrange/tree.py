@@ -89,7 +89,8 @@ class MarkedTree:
     @property
     def exp_neg_v(self) -> np.ndarray:
         if self._exp_neg_v is None:
-            self._exp_neg_v = np.exp(-self.V)
+            self._exp_neg_v = np.negative(self.V)
+            np.exp(self._exp_neg_v, out=self._exp_neg_v)
         return self._exp_neg_v
 
     def is_frontier(self, x: int) -> bool:
@@ -156,11 +157,18 @@ def generate(
 ) -> MarkedTree:
     """Generate a marked tree truncated at ``depth``.
 
-    Either ``rng`` or ``seed`` must be given. With a seed, each generation
-    is drawn from its own counter-based stream, so deepening the truncation
-    extends the same realization. Laws that permit extinction are
-    rejection-resampled until the tree survives to the full depth; the
-    number of attempts is recorded on the tree.
+    Either ``rng`` or ``seed`` must be given. Generation g (1 <= g <= depth)
+    is one :meth:`EnvironmentLaw.sample_generation` call for all vertices
+    of generation g-1, and the frontier child weights one more call at
+    g = depth+1. With a seed, that call draws from the counter-based stream
+    ``rng.stream(seed, f"tree/{attempt}", g)``, so deepening the truncation
+    extends the same realization and the frontier weights at one depth sum
+    the next generation of a deeper tree. With ``rng``, the calls draw from
+    the one generator in turn. Laws that permit extinction are
+    rejection-resampled until the tree survives to the full depth: a seed
+    moves on to the next attempt's streams, an ``rng`` keeps drawing from
+    where the extinct attempt stopped. The number of extra attempts is
+    recorded on the tree.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -195,54 +203,62 @@ def _generate_once(law, depth, rng, seed, attempt, node_cap):
     disps = [np.zeros(1)]
     vs = [np.zeros(1)]
     counts_per_level = []
-    level_ids = np.array([0], dtype=np.int64)
     level_v = np.zeros(1)
     offsets = [0, 1]
-    total = 1
     for g in range(1, depth + 1):
         r = _level_rng(rng, seed, attempt, g)
-        counts, disp = law.sample_generation(r, len(level_ids))
-        counts_per_level.append(counts)
+        counts, disp = law.sample_generation(r, len(level_v))
         n_new = int(counts.sum())
         if n_new == 0:
             return None  # extinct before reaching the truncation depth
-        total += n_new
-        if total > node_cap:
+        if offsets[-1] + n_new > node_cap:
             raise ResourceLimitError(f"actual node count exceeds cap {node_cap}")
-        par = np.repeat(level_ids, counts)
-        v = level_v[np.repeat(np.arange(len(level_ids)), counts)] + disp
-        ids = np.arange(offsets[-1], offsets[-1] + n_new, dtype=np.int64)
-        parents.append(par)
+        rows = np.repeat(np.arange(len(level_v)), counts)
+        level_v = level_v[rows]
+        level_v += disp
+        rows += offsets[-2]  # parent ids
+        counts_per_level.append(counts)
+        parents.append(rows)
         disps.append(disp)
-        vs.append(v)
+        vs.append(level_v)
         offsets.append(offsets[-1] + n_new)
-        level_ids = ids
-        level_v = v
+
+    # Join the per-level arrays, freeing each list before the frontier draw.
+    parent = np.concatenate(parents)
+    del parents
+    disp_all = np.concatenate(disps)
+    del disps
+    v_all = np.concatenate(vs)
+    del vs
+    level_v = v_all[offsets[-2]:]  # a view, so the last level's copy is freed
+    interior = np.concatenate(counts_per_level)
+    del counts_per_level
+    if abs(v_all.max(initial=0.0)) > 600 or abs(v_all.min(initial=0.0)) > 600:
+        raise ResourceLimitError("potential magnitude too large for direct exponentials")
 
     # Frontier child weights: one more sampled generation, reduced to
     # per-parent sums of exp(-V(child)) and never stored as nodes.
     r = _level_rng(rng, seed, attempt, depth + 1)
-    counts, disp = law.sample_generation(r, len(level_ids))
-    child_v = level_v[np.repeat(np.arange(len(level_ids)), counts)] + disp
-    halo = np.zeros(len(level_ids))
-    np.add.at(halo, np.repeat(np.arange(len(level_ids)), counts), np.exp(-child_v))
+    counts, weight = law.sample_generation(r, len(level_v))
+    rows = np.repeat(np.arange(len(level_v)), counts)
+    del counts
+    weight += level_v[rows]
+    np.negative(weight, out=weight)
+    np.exp(weight, out=weight)
+    halo = np.bincount(rows, weights=weight, minlength=len(level_v))
+    del rows, weight
 
-    parent = np.concatenate(parents)
-    disp_all = np.concatenate(disps)
-    v_all = np.concatenate(vs)
     size = len(parent)
-    gen = np.empty(size, dtype=np.int32)
-    for g in range(depth + 1):
-        gen[offsets[g] : offsets[g + 1]] = g
+    n_int = len(interior)
+    gen = np.repeat(np.arange(depth + 1, dtype=np.int32), np.diff(offsets))
+    # Breadth-first ids: the children of x start after the root and the
+    # children of every interior node before x.
     first_child = np.full(size, -1, dtype=np.int64)
+    np.cumsum(interior, out=first_child[:n_int])
+    first_child[:n_int] -= interior
+    first_child[:n_int] += 1
     n_children = np.zeros(size, dtype=np.int32)
-    for g, counts in enumerate(counts_per_level):
-        ids = np.arange(offsets[g], offsets[g + 1], dtype=np.int64)
-        starts = offsets[g + 1] + np.concatenate(([0], np.cumsum(counts)[:-1]))
-        first_child[ids] = starts
-        n_children[ids] = counts
-    if abs(v_all.max(initial=0.0)) > 600 or abs(v_all.min(initial=0.0)) > 600:
-        raise ResourceLimitError("potential magnitude too large for direct exponentials")
+    n_children[:n_int] = interior
     return MarkedTree(
         parent=parent,
         gen=gen,
@@ -438,9 +454,15 @@ def enumerate_delta_k(tree: MarkedTree, vertices, k: int):
 
 
 def save_snapshot(tree: MarkedTree, path) -> None:
-    """Line-oriented dump: id parent generation displacement potential."""
+    """Line-oriented dump: id parent generation displacement potential,
+    followed on frontier nodes by their child weight below.
+
+    The law and the seed go in header comments. Values are written with
+    ``repr``, so :func:`load_snapshot` restores every array bit for bit.
+    """
+    base = int(tree.gen_offsets[tree.depth])
     with open(path, "w") as fh:
-        fh.write("# gwrange tree snapshot v1\n")
+        fh.write("# gwrange tree snapshot v2\n")
         if tree.law is not None:
             for line in law_to_text(tree.law).splitlines():
                 fh.write(f"# law: {line}\n")
@@ -448,24 +470,42 @@ def save_snapshot(tree: MarkedTree, path) -> None:
         for i in range(tree.size):
             fh.write(
                 f"{i} {int(tree.parent[i])} {int(tree.gen[i])} "
-                f"{float(tree.disp[i])!r} {float(tree.V[i])!r}\n"
+                f"{float(tree.disp[i])!r} {float(tree.V[i])!r}"
             )
+            if i >= base:
+                fh.write(f" {float(tree.frontier_down_weight(i))!r}")
+            fh.write("\n")
 
 
 def load_snapshot(path) -> MarkedTree:
     parents = []
     disps = []
+    halo = []
     law_lines = []
+    seed = None
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line.startswith("# law:"):
                 law_lines.append(line[len("# law:") :].strip())
                 continue
+            if line.startswith("# seed:"):
+                value = line[len("# seed:") :].strip()
+                seed = None if value == "None" else int(value)
+                continue
             if not line or line.startswith("#"):
                 continue
-            _, p, _, d, _ = line.split()
+            _, p, _, d, _, *w = line.split()
             parents.append(int(p))
             disps.append(float(d))
+            halo.extend(float(x) for x in w)
     law = law_from_text("\n".join(law_lines)) if law_lines else None
-    return tree_from_parents(parents, disps, law=law)
+    tree = tree_from_parents(parents, disps, law=law)
+    tree.seed = seed
+    if halo:
+        if len(halo) != len(tree.halo_weight):
+            raise ValueError(
+                f"{len(halo)} frontier weights for {len(tree.halo_weight)} frontier nodes"
+            )
+        tree.halo_weight = np.array(halo)
+    return tree

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,12 +8,29 @@ from scipy import optimize
 import gwrange as g
 from gwrange import rng as rngmod
 from gwrange.environment import (
+    TILTED_BLOCK_ROWS,
     band_shrink_values,
     compute_schedule,
     is_calibrated,
     rate_delta0,
 )
 from gwrange.errors import CalibrationError, DomainError, ScheduleInfeasibleError
+from gwrange.quenched import phi
+
+SAMPLING_LAWS = {
+    "default": g.default_law(),
+    "mixed": g.generic_law([(0.2, (-0.3,)), (0.5, (0.1, 0.6, 1.2)), (0.3, (0.4, 0.9))]),
+    "extinct": g.generic_law([(0.3, ()), (0.7, (0.2, 0.5))]),
+    "gaussian": g.gaussian_law(),
+}
+# sha256 prefixes of (counts, displacements) for 5000 parents drawn from
+# default_rng(7), pinned from the per-parent sampler the scatter replaced.
+SAMPLING_DIGESTS = {
+    "default": ("09043a55b95bca3e", "3fcc3e06a4c6c5e0"),
+    "mixed": ("6850d7c547b2e845", "f1364c89c48bf2f1"),
+    "extinct": ("4784a48c01d72aca", "279b5bca72bbbf99"),
+    "gaussian": ("5ba2741bd8c80364", "6ac9700bcaf3c727"),
+}
 
 
 class TestTransform:
@@ -37,6 +55,30 @@ class TestTransform:
         kap = g.kappa(law)
         for t in np.linspace(1.05, kap - 0.05, 25):
             assert g.log_laplace(law, t) < 0.0
+
+
+class TestSampleGeneration:
+    @pytest.mark.parametrize("name", sorted(SAMPLING_LAWS))
+    def test_draws_bitwise_pinned(self, name):
+        counts, disp = SAMPLING_LAWS[name].sample_generation(np.random.default_rng(7), 5000)
+        assert (counts.dtype.str, disp.dtype.str) == ("<i8", "<f8")
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (counts, disp))
+        assert got == SAMPLING_DIGESTS[name]
+
+    def test_displacements_follow_atoms(self):
+        law = SAMPLING_LAWS["mixed"]
+        counts, disp = law.sample_generation(np.random.default_rng(8), 300)
+        atoms = {len(d): d for _, d in law.atoms}
+        blocks = np.split(disp, np.cumsum(counts)[:-1])
+        assert all(tuple(b) == atoms[c] for b, c in zip(blocks, counts))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLING_LAWS))
+    def test_no_parents(self, name):
+        rng = np.random.default_rng(1)
+        counts, disp = SAMPLING_LAWS[name].sample_generation(rng, 0)
+        assert counts.shape == disp.shape == (0,)
+        assert (counts.dtype.str, disp.dtype.str) == ("<i8", "<f8")
+        assert rng.random() == np.random.default_rng(1).random()
 
 
 class TestKappa:
@@ -150,6 +192,33 @@ class TestCInfinity:
         e2 = g.estimate_c_infinity(law, truncation=200, replicas=60_000,
                                    rng=rngmod.stream(7, "cinf"))
         assert abs(e1.value - e2.value) <= 3.0 * math.hypot(e1.se, e2.se)
+
+
+class TestTiltedBlocks:
+    REPLICAS = 2 * TILTED_BLOCK_ROWS + 37
+
+    def whole_matrix(self, law, steps, seed, fn):
+        paths = g.sample_tilted_walk(law, steps, np.random.default_rng(seed), self.REPLICAS)
+        vals = fn(paths)
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(self.REPLICAS))
+
+    def test_c_infinity_equals_whole_matrix(self, law):
+        est = g.estimate_c_infinity(law, truncation=30, replicas=self.REPLICAS,
+                                    rng=np.random.default_rng(3))
+        want = self.whole_matrix(law, 30, 3, lambda p: 1.0 / np.exp(-p).sum(axis=1))
+        assert (est.value, est.se) == want
+
+    @pytest.mark.parametrize("r", [1.0, 2.5])
+    def test_tilted_phi_equals_whole_matrix(self, law, r):
+        got = phi(law, 25, 4, r, replicas=self.REPLICAS, rng=np.random.default_rng(4),
+                  mode="tilted")
+
+        def value(paths):
+            end = paths[:, -1]
+            h = np.exp(paths - end[:, None]).sum(axis=1)
+            return 1.0 / ((r - 1.0) * np.exp(-end) + h)
+
+        assert got == self.whole_matrix(law, 21, 4, value)
 
 
 class TestJointMoments:

@@ -166,6 +166,21 @@ def test_pair_count_and_constraints_match_enumeration(walked_n1e4):
         assert (stat.value, stat.tuple_count) == (total, count)
 
 
+def test_reference_sum_is_exact():
+    tree = _TREES[1]
+    ids = tree.generation_ids(3)
+    tuples = list(itertools.permutations(ids.tolist(), 2))
+    big = {tuples[0]: 1e16, tuples[-1]: -1e16}
+
+    def f(tree, xs):
+        # each unit term vanishes into a running float sum held near 1e16
+        return big.get(tuple(xs), 1.0)
+
+    total, count = reference_tuple_sum(tree, ids, 2, f)
+    assert count == len(tuples)
+    assert total == len(tuples) - 2
+
+
 def test_readme_constrained_ratio_command(tmp_path):
     args = ["verify", "constrained-ratio", "--constraint", "f_lambda:3",
             "--n-grid", "10000", "--replicas", "2", "--out", str(tmp_path)]

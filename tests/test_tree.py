@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,12 +65,106 @@ class TestGeneration:
         n = t1.size
         assert np.array_equal(t1.parent, t2.parent[:n])
         assert np.array_equal(t1.V, t2.V[:n])
+        # the depth-4 frontier weights sum generation 5 of the deeper tree
+        ids = t2.generation_ids(5)
+        below = np.bincount(t2.parent[ids] - t2.gen_offsets[4], weights=t2.exp_neg_v[ids],
+                            minlength=t1.generation_size(4))
+        assert np.array_equal(t1.halo_weight, below)
 
     def test_extinction_rejection_reported(self):
         law = g.generic_law([(0.3, ()), (0.7, (0.2, 0.5))])
         tree = g.generate(law, 4, seed=5)
         assert tree.gen.max() == 4
         assert tree.regen_attempts >= 0
+
+
+# sha256 prefixes of every array of `generate`, pinned from the per-parent
+# sampler that the scatter sampler replaced: (regen_attempts, size, digests
+# of parent, gen, disp, V, first_child, n_children, gen_offsets, halo_weight).
+TREE_ARRAYS = ("parent", "gen", "disp", "V", "first_child", "n_children",
+               "gen_offsets", "halo_weight")
+TREE_DTYPES = ("<i8", "<i4", "<f8", "<f8", "<i8", "<i4", "<i8", "<f8")
+TREE_DIGESTS = {
+    "default-seed": (
+        0, 11719,
+        ("267aba7885b4a173", "88ebfb3c93bb1fa2", "12bb5a3687512aa0", "2e70111333bb2ca3",
+         "c17b0a3cf8a0b4b7", "787fd9aaad6a6ddb", "ff64869b3a66395d", "02b8eef7dc6e6906"),
+    ),
+    "default-rng": (
+        0, 4571,
+        ("043588bfddba089a", "dbef18378c6891b7", "fbd556c761d6364c", "22f3efaa0b6d982e",
+         "f4697e8010ed67d9", "57a06b8b88773ea3", "1e1c0266e2a9becd", "4a29f66bc6a07d1b"),
+    ),
+    "mixed-seed": (
+        0, 11643,
+        ("c7367b8a9689c845", "d6e41b8c37e4523d", "e87f935d1e2ac6ac", "d0867fba01eca023",
+         "79a90376066c3d5e", "6c4313d899af0098", "7fe2b8bd88f6152f", "d7544d55d2a8963b"),
+    ),
+    "mixed-rng": (
+        0, 10631,
+        ("c50d82286d86cee0", "fb5e8385709091df", "1889c4cfafd4f1ac", "cc5df497df743ffa",
+         "4bde228f16141fac", "390a06911cfe57b6", "171e6e85e6759ba8", "3a838a0bfe73ba0d"),
+    ),
+    "extinct-seed": (
+        5, 373,
+        ("3847f378c3f66e2a", "50165b5aef0c9727", "cb6383dd8aaef27a", "a39bd64a78f0570b",
+         "3ec69139128121ef", "d46b3c12aa21575a", "63122e916823ff93", "8ab3082546760527"),
+    ),
+    "extinct-rng": (
+        2, 265,
+        ("cd41571c5d47edab", "5331bc3811eae6c5", "53d00d0dd2300ada", "9930c2587e37324e",
+         "5876c099d30cf56d", "5ffbce7e7e22a842", "cd8b23161627f230", "ca1114798ba34f7e"),
+    ),
+    "gaussian-seed": (
+        0, 8191,
+        ("227c6084c3ec82c4", "6f6dbb16671bed59", "5648bfb654451f05", "50fb35fe60e89962",
+         "1a7f2f1fb4b0564b", "e609590792e0b9ec", "139d6a100a13c6b1", "3b64ee88c4d93988"),
+    ),
+    "gaussian-rng": (
+        0, 8191,
+        ("227c6084c3ec82c4", "6f6dbb16671bed59", "9da6a78da3f0b9fb", "76665985211e618e",
+         "1a7f2f1fb4b0564b", "e609590792e0b9ec", "139d6a100a13c6b1", "4abc672681af26fe"),
+    ),
+}
+
+
+def _digest_case(name):
+    family, source = name.split("-")
+    law, depth, seed = {
+        "default": (g.default_law(), 12, 2024),
+        # distinct displacements per child slot and three atom sizes
+        "mixed": (g.generic_law([(0.2, (-0.3,)), (0.5, (0.1, 0.6, 1.2)),
+                                 (0.3, (0.4, 0.9))]), 10, 2024),
+        # a zero-child atom: extinct attempts are redrawn
+        "extinct": (g.generic_law([(0.3, ()), (0.7, (0.2, 0.5))]), 12, 3),
+        "gaussian": (g.gaussian_law(), 12, 2024),
+    }[family]
+    if source == "seed":
+        return g.generate(law, depth, seed=seed)
+    return g.generate(law, depth, rng=np.random.default_rng(seed))
+
+
+class TestGenerationDigests:
+    @pytest.mark.parametrize("name", sorted(TREE_DIGESTS))
+    def test_arrays_bitwise_pinned(self, name):
+        attempts, size, digests = TREE_DIGESTS[name]
+        tree = _digest_case(name)
+        assert tree.regen_attempts == attempts
+        assert tree.size == size
+        for arr, dtype, want in zip(TREE_ARRAYS, TREE_DTYPES, digests):
+            a = getattr(tree, arr)
+            assert a.dtype.str == dtype, arr
+            got = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+            assert got == want, arr
+
+    def test_first_child_matches_layout(self):
+        tree = _digest_case("extinct-seed")
+        for x in range(tree.size):
+            kids = np.flatnonzero(tree.parent == x)
+            assert tree.n_children[x] == len(kids)
+            if len(kids):
+                assert tree.first_child[x] == kids[0]
+                assert np.array_equal(kids, tree.children(x))
 
 
 class TestPotential:
@@ -209,3 +304,19 @@ class TestSnapshot:
         assert np.array_equal(back.parent, tree.parent)
         assert np.allclose(back.V, tree.V)
         assert back.law == law
+
+    def test_lossless_walk_replay(self, law, tmp_path):
+        tree = g.generate(law, 6, seed=55)
+        path = tmp_path / "tree.txt"
+        g.save_snapshot(tree, path)
+        back = g.load_snapshot(path)
+        assert back.seed == 55
+        for arr in TREE_ARRAYS:
+            assert np.array_equal(getattr(back, arr), getattr(tree, arr)), arr
+        a = g.run_excursions(tree, 2000, rngmod.stream(5, "walk"))
+        b = g.run_excursions(back, 2000, rngmod.stream(5, "walk"))
+        assert a.dives > 0
+        assert (a.steps, a.dives) == (b.steps, b.dives)
+        assert np.array_equal(a.ids, b.ids)
+        assert np.array_equal(a.local_time, b.local_time)
+        assert np.array_equal(a.return_steps, b.return_steps)
