@@ -476,6 +476,7 @@ def limit_report(
             from .rangestats import general_range
 
             for rep in range(reps[n]):
+                tree = trace = sl = None  # free the last replica before drawing the next
                 tree = generate(law, upper, rng=rngmod.stream(seed, f"tree/{n}", rep))
                 trace = run_excursions(tree, s, rngmod.stream(seed, f"walk/{n}", rep))
                 sl = range_slice(trace, tree, lower, upper)

@@ -42,6 +42,8 @@ __all__ = [
 
 PARENT_OF_ROOT = -1
 DEFAULT_NODE_CAP = 30_000_000
+# Frontier parents whose child weights are drawn at once.
+FRONTIER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,7 @@ def _generate_once(law, depth, rng, seed, attempt, node_cap):
         offsets.append(offsets[-1] + n_new)
 
     # Join the per-level arrays, freeing each list before the frontier draw.
+    del counts, disp, rows  # the last level's arrays, also held by the lists
     parent = np.concatenate(parents)
     del parents
     disp_all = np.concatenate(disps)
@@ -237,28 +240,36 @@ def _generate_once(law, depth, rng, seed, attempt, node_cap):
         raise ResourceLimitError("potential magnitude too large for direct exponentials")
 
     # Frontier child weights: one more sampled generation, reduced to
-    # per-parent sums of exp(-V(child)) and never stored as nodes.
+    # per-parent sums of exp(-V(child)) and never stored as nodes. The
+    # parents are drawn in blocks from the same generator, which consumes
+    # the stream exactly as one draw for all of them would.
     r = _level_rng(rng, seed, attempt, depth + 1)
-    counts, weight = law.sample_generation(r, len(level_v))
-    rows = np.repeat(np.arange(len(level_v)), counts)
-    del counts
-    weight += level_v[rows]
-    np.negative(weight, out=weight)
-    np.exp(weight, out=weight)
-    halo = np.bincount(rows, weights=weight, minlength=len(level_v))
-    del rows, weight
+    halo = np.empty(len(level_v))
+    for lo in range(0, len(level_v), FRONTIER_BLOCK):
+        block_v = level_v[lo : lo + FRONTIER_BLOCK]
+        counts, weight = law.sample_generation(r, len(block_v))
+        rows = np.repeat(np.arange(len(block_v)), counts)
+        weight += block_v[rows]
+        np.negative(weight, out=weight)
+        np.exp(weight, out=weight)
+        halo[lo : lo + len(block_v)] = np.bincount(rows, weights=weight, minlength=len(block_v))
+    del counts, rows, weight
 
     size = len(parent)
     n_int = len(interior)
     gen = np.repeat(np.arange(depth + 1, dtype=np.int32), np.diff(offsets))
-    # Breadth-first ids: the children of x start after the root and the
-    # children of every interior node before x.
-    first_child = np.full(size, -1, dtype=np.int64)
-    np.cumsum(interior, out=first_child[:n_int])
-    first_child[:n_int] -= interior
-    first_child[:n_int] += 1
     n_children = np.zeros(size, dtype=np.int32)
     n_children[:n_int] = interior
+    del interior
+    # Breadth-first ids: the children of x start after the root and the
+    # children of every interior node before x. The sum runs in place so
+    # no full-size temporary is cast.
+    first_child = np.full(size, -1, dtype=np.int64)
+    head = first_child[:n_int]
+    head[:] = n_children[:n_int]
+    np.cumsum(head, out=head)
+    head -= n_children[:n_int]
+    head += 1
     return MarkedTree(
         parent=parent,
         gen=gen,

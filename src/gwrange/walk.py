@@ -137,7 +137,7 @@ def run_excursions(
     if step_budget is None:
         step_budget = 50 * s * s
     parent = tree.parent
-    exp_neg_v = tree.exp_neg_v
+    V = tree.V
     first_child = tree.first_child
     n_children = tree.n_children
     frontier_gen = tree.depth
@@ -148,6 +148,12 @@ def run_excursions(
     # per-vertex record: [local, edge, exc_count, first_exc, first_step, last_entry_exc]
     records: dict = {}
     entry_lists: dict = {}
+    # exp(-V) of the vertices met so far, computed one child block at a time
+    # when the walk first stands on the parent (a vertex below the root is
+    # always entered from its parent first), so a walk that visits a small
+    # part of a big tree never holds a weight for every vertex.
+    weight = {0: float(np.exp(-V[0]))}
+    kid_weights: dict = {}
     rand = rng.random
 
     steps = 0
@@ -161,7 +167,7 @@ def run_excursions(
             v = 0
             from_parent = True
         else:
-            w_up = exp_neg_v[u]
+            w_up = weight[u]
             if gen[u] == frontier_gen:
                 w_down = 0.0 if halo is None else halo[u - frontier_base]
                 if rand() * (w_up + w_down) < w_up:
@@ -188,23 +194,27 @@ def run_excursions(
                         )
                     continue
             else:
-                fc = first_child[u]
-                nc = n_children[u]
+                fc = int(first_child[u])
+                kids = kid_weights.get(u)
+                if kids is None:
+                    kids = np.exp(np.negative(V[fc : fc + n_children[u]])).tolist()
+                    kid_weights[u] = kids
+                    weight.update(zip(range(fc, fc + len(kids)), kids))
                 total = w_up
-                for j in range(nc):
-                    total += exp_neg_v[fc + j]
+                for w in kids:
+                    total += w
                 r = rand() * total
                 if r < w_up:
                     v = int(parent[u])
                     from_parent = False
                 else:
                     r -= w_up
-                    v = int(fc + nc - 1)
+                    v = fc + len(kids) - 1
                     acc = 0.0
-                    for j in range(nc):
-                        acc += exp_neg_v[fc + j]
+                    for j, w in enumerate(kids):
+                        acc += w
                         if r < acc:
-                            v = int(fc + j)
+                            v = fc + j
                             break
                     from_parent = True
         steps += 1

@@ -7,6 +7,7 @@ from scipy import stats as sstats
 
 import gwrange as g
 from gwrange import rng as rngmod
+from gwrange import tree as treemod
 from gwrange.errors import AncestryError, QueryError, ResourceLimitError
 from gwrange.tree import VirtualLeaf, conductance_H_level
 
@@ -156,6 +157,12 @@ class TestGenerationDigests:
             assert a.dtype.str == dtype, arr
             got = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
             assert got == want, arr
+
+    @pytest.mark.parametrize("name", sorted(TREE_DIGESTS))
+    def test_frontier_blocks_bitwise_pinned(self, name, monkeypatch):
+        # frontier weights drawn in uneven blocks consume the same stream
+        monkeypatch.setattr(treemod, "FRONTIER_BLOCK", 7)
+        self.test_arrays_bitwise_pinned(name)
 
     def test_first_child_matches_layout(self):
         tree = _digest_case("extinct-seed")

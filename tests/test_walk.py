@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -116,6 +117,46 @@ class TestRunExcursions:
         trace = g.run_excursions(tree, 30, rngmod.stream(10, "w"))
         assert trace.complete
         assert trace.local_time.sum() + trace.s + trace.dives == trace.steps
+
+
+# sha256 prefixes of walk traces pinned from the walk that read a full
+# exp(-V) array of the tree: (steps, dives, visited, digest of ids, local and
+# edge local times, excursion counts, first excursions, first hit steps,
+# return steps and per-vertex entry excursions).
+WALK_DIGESTS = {
+    "default": (g.default_law, 12, 2024, (9750, 381, 703, "706b73466ae2a31c")),
+    "mixed": (lambda: g.generic_law([(0.2, (-0.3,)), (0.5, (0.1, 0.6, 1.2)),
+                                     (0.3, (0.4, 0.9))]),
+              10, 2024, (168732, 26955, 5910, "1625c3e4a32cffd6")),
+    "extinct": (lambda: g.generic_law([(0.3, ()), (0.7, (0.2, 0.5))]),
+                12, 3, (14664, 645, 323, "0ef29f30a36d7fd0")),
+    "gaussian": (g.gaussian_law, 12, 2024, (12136, 516, 967, "84b02232e60b0032")),
+}
+
+
+def _trace_digest(trace):
+    h = hashlib.sha256()
+    for a in (trace.ids, trace.local_time, trace.edge_local_time, trace.excursion_count,
+              trace.first_excursion, trace.first_hit_step, trace.return_steps):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    for e in trace.entry_excursions:
+        h.update(np.ascontiguousarray(e, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestWalkDigests:
+    @pytest.mark.parametrize("name", sorted(WALK_DIGESTS))
+    def test_trace_bitwise_pinned(self, name):
+        make_law, depth, seed, want = WALK_DIGESTS[name]
+        tree = g.generate(make_law(), depth, seed=seed)
+        trace = g.run_excursions(tree, 400, np.random.default_rng(seed))
+        assert (trace.steps, trace.dives, len(trace.ids), _trace_digest(trace)) == want
+
+    def test_walk_leaves_full_weights_unbuilt(self, law):
+        # a fresh tree: the shared fixtures may have built the weights elsewhere
+        tree = g.generate(law, 10, seed=202)
+        g.run_excursions(tree, 50, rngmod.stream(11, "w"))
+        assert tree._exp_neg_v is None
 
 
 class TestExcursionStats:
