@@ -109,31 +109,12 @@ class EnvironmentLaw:
         return max((len(d) for _, d in self.atoms), default=0)
 
     @property
-    def min_offspring(self) -> int:
-        if self.family == "gaussian":
-            return self.gauss_children
-        return min((len(d) for _, d in self.atoms), default=0)
-
-    @property
     def ellipticity_bound(self) -> float:
         """Uniform lower bound -h on displacements; inf when unbounded below."""
         if self.family == "gaussian":
             return math.inf
         lo = min((min(d) for _, d in self.atoms if d), default=0.0)
         return max(0.0, -lo)
-
-    @property
-    def can_go_extinct(self) -> bool:
-        return self.min_offspring == 0
-
-    def offspring_marginal(self) -> dict:
-        """Distribution of the child count."""
-        if self.family == "gaussian":
-            return {self.gauss_children: 1.0}
-        out = {}
-        for p, d in self.atoms:
-            out[len(d)] = out.get(len(d), 0.0) + p
-        return out
 
     # -- sampling ----------------------------------------------------------
 

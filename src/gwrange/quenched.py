@@ -20,9 +20,10 @@ from .genealogy import Constraint, constant_one, first_full_split
 from .rangestats import tuple_sum
 from .tree import (
     MarkedTree,
-    conductance_H,
-    generate,
+    _logsumexp,
+    conductance_levels,
     is_ancestor,
+    sample_forest,
     save_snapshot,
 )
 
@@ -34,14 +35,6 @@ __all__ = [
 ]
 
 
-def _log_path_cumsum(tree: MarkedTree, x: int) -> float:
-    """log sum over root..x of exp(V(w))."""
-    chain = tree.ancestor_chain(x)
-    vals = tree.V[chain]
-    m = vals.max()
-    return float(m + math.log(np.exp(vals - m).sum()))
-
-
 def hit_before_return(tree: MarkedTree, z: int, x: int) -> float:
     """Probability, from z on the ancestral line of x, of hitting x before
     the walk's first return to the reflecting vertex.
@@ -51,8 +44,8 @@ def hit_before_return(tree: MarkedTree, z: int, x: int) -> float:
     """
     if not is_ancestor(tree, z, x):
         raise AncestryError(f"{z} is not on the ancestral line of {x}")
-    log_den = _log_path_cumsum(tree, x)
-    log_num = _log_path_cumsum(tree, z)
+    log_den = _logsumexp(tree.V[tree.ancestor_chain(x)])
+    log_num = _logsumexp(tree.V[tree.ancestor_chain(z)])
     return math.exp(log_num - log_den)
 
 
@@ -176,7 +169,8 @@ def quenched_mean_quasi_independent(
         return 0.0
     top = min(upper, tree.depth)
     band = np.arange(tree.gen_offsets[min(lower, top + 1)], tree.gen_offsets[top + 1])
-    weight = np.array([tree.exp_neg_v[v] / conductance_H(tree, int(v)) for v in band])
+    H = np.concatenate(conductance_levels(*tree.levels(top)))
+    weight = tree.exp_neg_v[band] / H[band]
     if warmup is not None:
         f = _within_warmup(f, warmup)
     return math.perm(s, k) * tuple_sum(tree, band, k, f, [weight] * k, tuple_cap)
@@ -208,10 +202,12 @@ def phi(
     """Mean of exp(-V(x)) / ((r-1) exp(-V(x)) + H_x) over generation p - warmup.
 
     Returns (estimate, standard error). ``mode="tree"`` averages the sum
-    over independent truncated trees, which is exact to the definition but
-    only feasible for small depth; ``mode="tilted"`` transports the sum to
-    the tilted one-dimensional walk (an exact identity), which scales to
-    any depth. ``auto`` picks by depth.
+    over ``replicas`` independent trees of one :func:`sample_forest` draw,
+    not conditioned on survival (a tree that dies out adds 0), with H from
+    the level recursion; it is exact to the definition but only feasible
+    for small depth. ``mode="tilted"`` transports the sum to the tilted
+    one-dimensional walk (an exact identity), which scales to any depth.
+    ``auto`` picks by depth.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -234,14 +230,10 @@ def phi(
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
     if mode != "tree":
         raise ValueError(f"unknown mode {mode!r}")
-    vals = np.empty(replicas)
-    for i in range(replicas):
-        t = generate(law, d, rng=rng)
-        ids = t.generation_ids(d)
-        acc = 0.0
-        for x in ids:
-            h = conductance_H(t, int(x))
-            e = t.exp_neg_v[x]
-            acc += e / ((r - 1.0) * e + h)
-        vals[i] = acc
+    vals = []
+    for f in sample_forest(law, d, replicas, rng):
+        e = np.exp(-f.V[-1])
+        h = conductance_levels(f.V, f.parent)[-1]
+        vals.append(f.tree_sums(e / ((r - 1.0) * e + h)))
+    vals = np.concatenate(vals)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))

@@ -43,7 +43,7 @@ from .rangestats import (
     signature_sum,
     weighted_range_A_l,
 )
-from .tree import additive_martingale, generate
+from .tree import additive_martingale, generate, sample_forest
 from .walk import range_slice, run_excursions
 
 __all__ = [
@@ -135,54 +135,37 @@ def estimate_esp_partition(
     The weighted tuple sum at generation s_ell with the signature indicator
     has the deep-limit mean exactly (conditional-expectation identity), so
     averaging it over independent trees estimates the closed form. Returns
-    (estimate, standard error). Laws without extinction sum over one
-    forest of ``replicas`` trees with :func:`signature_sum`; ``fast=False``
-    (and any law that can die out) streams tuples tree by tree through the
-    per-tuple reference enumeration.
+    (estimate, standard error). The trees are one :func:`sample_forest`
+    draw of ``replicas`` trees, not conditioned on survival (a tree that
+    dies out adds 0); ``fast`` picks only how the per-tree sums are
+    computed: by :func:`signature_sum` on each forest block, or
+    (``fast=False``) tuple by tuple through the reference enumeration on
+    each tree.
     """
     if abs(log_laplace(law, 1.0)) > 1e-9:
         raise DomainError("law is not calibrated: transform does not vanish at 1")
     svec = tuple(int(v) for v in svec)
     if coll.k != k or len(svec) != coll.depth:
         raise SignatureError("collection/split-time shape mismatch")
-    if fast and law.min_offspring >= 1:
-        levels = _forest_rows(law, svec[-1], replicas, rng)
-        forest = AncestorForest.of_levels([lv["parent"] for lv in levels])
-        w = np.exp(-levels[-1]["V"])
-        per_tree = signature_sum(forest, svec, coll, [w] * k)
-    else:
-        per_tree = _generic_estimate(law, k, svec, coll, replicas, rng)
+    per_tree = np.concatenate([
+        signature_sum(AncestorForest.of_levels(f.parent), svec, coll, [np.exp(-f.V[-1])] * k)
+        if fast else _reference_sums(f, k, svec, coll)
+        for f in sample_forest(law, svec[-1], replicas, rng)
+    ])
     est = float(per_tree.mean())
     se = float(per_tree.std(ddof=1) / math.sqrt(replicas))
     return est, se
 
 
-def _forest_rows(law, depth, replicas, rng):
-    """Level arrays for a forest: per level (tree, V, parent-row)."""
-    levels = [
-        {
-            "tree": np.arange(replicas, dtype=np.int64),
-            "V": np.zeros(replicas),
-            "parent": np.full(replicas, -1, dtype=np.int64),
-        }
-    ]
-    for _ in range(depth):
-        prev = levels[-1]
-        counts, disp = law.sample_generation(rng, len(prev["V"]))
-        rows = np.repeat(np.arange(len(prev["V"]), dtype=np.int64), counts)
-        levels.append(
-            {"tree": prev["tree"][rows], "V": prev["V"][rows] + disp, "parent": rows}
-        )
-    return levels
-
-
-def _generic_estimate(law, k, svec, coll, replicas, rng):
-    """Per-tree signature sums by the per-tuple reference enumeration."""
+def _reference_sums(forest, k, svec, coll):
+    """Per-tree signature sums of a forest block by the per-tuple reference
+    enumeration, one :class:`MarkedTree` per tree."""
     req = list(pairwise_split_requirements(svec, coll).items())
     depth = svec[-1]
-    vals = np.empty(replicas)
-    for rep in range(replicas):
-        t = generate(law, depth, rng=rng)
+    ends = np.searchsorted(forest.root[-1], np.arange(len(forest.V[0]) + 1))
+    vals = np.zeros(len(ends) - 1)
+    for i in np.flatnonzero(np.diff(ends) >= k):  # fewer than k vertices sum to 0
+        t = forest.tree(int(i))
         ids = t.generation_ids(depth)
         anc = t.ancestor_matrix(ids).T.tolist()
         first = int(ids[0])
@@ -194,7 +177,7 @@ def _generic_estimate(law, k, svec, coll, replicas, rng):
                     return 0.0
             return 1.0
 
-        vals[rep], _ = reference_tuple_sum(t, ids, k, has_signature, [t.exp_neg_v[ids]] * k)
+        vals[i], _ = reference_tuple_sum(t, ids, k, has_signature, [t.exp_neg_v[ids]] * k)
     return vals
 
 

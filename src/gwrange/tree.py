@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .errors import AncestryError, CalibrationError, QueryError, ResourceLimitError
+from .errors import AncestryError, QueryError, ResourceLimitError
 from .environment import EnvironmentLaw, law_to_text, law_from_text
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
     "additive_martingale",
     "conductance_H",
     "partial_H",
+    "conductance_levels",
+    "Forest",
+    "sample_forest",
     "enumerate_delta_k",
     "is_ancestor",
     "save_snapshot",
@@ -44,6 +47,8 @@ PARENT_OF_ROOT = -1
 DEFAULT_NODE_CAP = 30_000_000
 # Frontier parents whose child weights are drawn at once.
 FRONTIER_BLOCK = 1 << 16
+# Expected vertices of one block of a forest draw (see sample_forest).
+FOREST_BLOCK_NODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,13 @@ class MarkedTree:
             out[active & (gens == g), g] = cur[active & (gens == g)]
         return out
 
+    def levels(self, top: int):
+        """Generations 0..top in the level layout of :class:`Forest`: the
+        potentials, and the parent rows in the level above (none at level 0)."""
+        off = self.gen_offsets
+        parent = [self.parent[off[g] : off[g + 1]] - off[g - 1] for g in range(1, top + 1)]
+        return [self.V[off[g] : off[g + 1]] for g in range(top + 1)], [None] + parent
+
 
 # ---------------------------------------------------------------------------
 # generation
@@ -155,7 +167,6 @@ def generate(
     rng: np.random.Generator = None,
     seed: int = None,
     node_cap: int = DEFAULT_NODE_CAP,
-    require_survival: bool = True,
 ) -> MarkedTree:
     """Generate a marked tree truncated at ``depth``.
 
@@ -170,7 +181,7 @@ def generate(
     rejection-resampled until the tree survives to the full depth: a seed
     moves on to the next attempt's streams, an ``rng`` keeps drawing from
     where the extinct attempt stopped. The number of extra attempts is
-    recorded on the tree.
+    recorded on the tree; :func:`sample_forest` draws unconditioned trees.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -181,17 +192,12 @@ def generate(
         raise ResourceLimitError(
             f"expected node count {expected:.3g} exceeds cap {node_cap}"
         )
-    attempts = 0
-    while True:
-        attempts += 1
-        if attempts > 10_000:
-            raise ResourceLimitError("rejection sampling failed 10000 times")
-        tree = _generate_once(law, depth, rng, seed, attempts - 1, node_cap)
+    for attempt in range(10_000):
+        tree = _generate_once(law, depth, rng, seed, attempt, node_cap)
         if tree is not None:
-            tree.regen_attempts = attempts - 1
+            tree.regen_attempts = attempt
             return tree
-        if not (require_survival and law.can_go_extinct):
-            raise CalibrationError("generation failed for a non-extinguishing law")
+    raise ResourceLimitError("rejection sampling failed 10000 times")
 
 
 def _level_rng(rng, seed, attempt, level):
@@ -285,6 +291,64 @@ def _generate_once(law, depth, rng, seed, attempt, node_cap):
     )
 
 
+@dataclass(frozen=True)
+class Forest:
+    """One block of independent trees, stored level by level: level g lists
+    the generation-g vertices of every tree, grouped by tree in tree order.
+    ``V[g]`` holds their potentials, ``parent[g]`` the row of each one's
+    parent in level g-1 (-1 at the roots) and ``root[g]`` the row of its
+    tree's root. A tree that died out has no rows below its last generation.
+    """
+
+    V: tuple
+    parent: tuple
+    root: tuple
+
+    def tree_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per tree, the sum of ``values`` over its vertices of the deepest
+        level (0 for a tree that died out)."""
+        return np.bincount(self.root[-1], weights=values, minlength=len(self.V[0]))
+
+    def tree(self, i: int) -> MarkedTree:
+        """Tree ``i`` as a :class:`MarkedTree` down to its last nonempty
+        generation, without frontier weights."""
+        parents, disps = [[PARENT_OF_ROOT]], [[0.0]]
+        prev, base = i, 0  # first row of tree i in the level above, and its id
+        for g in range(1, len(self.V)):
+            lo, hi = np.searchsorted(self.root[g], (i, i + 1))
+            rows = self.parent[g][lo:hi]
+            parents.append(rows - prev + base)
+            disps.append(self.V[g][lo:hi] - self.V[g - 1][rows])
+            base += len(parents[-2])
+            prev = lo
+        return tree_from_parents(np.concatenate(parents), np.concatenate(disps))
+
+
+def sample_forest(law: EnvironmentLaw, depth: int, trees: int, rng: np.random.Generator):
+    """Draw ``trees`` independent trees of ``depth`` generations, yielded as
+    consecutive :class:`Forest` blocks.
+
+    The trees are not conditioned on survival: one that dies out before
+    ``depth`` has no vertices there and sums to 0, so forest averages are
+    annealed means. A block holds about ``FOREST_BLOCK_NODES`` vertices in
+    expectation, so memory does not grow with ``trees``. Generation g of a
+    block is one :meth:`EnvironmentLaw.sample_generation` call for the
+    block's generation g-1, all drawn from ``rng`` in turn.
+    """
+    per_block = max(1, int(FOREST_BLOCK_NODES // _expected_nodes(law, depth)))
+    for lo in range(0, trees, per_block):
+        n = min(per_block, trees - lo)
+        V, parent, root = [np.zeros(n)], [np.full(n, PARENT_OF_ROOT)], [np.arange(n)]
+        for _ in range(depth):
+            counts, disp = law.sample_generation(rng, len(V[-1]))
+            rows = np.repeat(np.arange(len(V[-1]), dtype=np.int64), counts)
+            disp += V[-1][rows]
+            V.append(disp)
+            parent.append(rows)
+            root.append(root[-1][rows])
+        yield Forest(tuple(V), tuple(parent), tuple(root))
+
+
 def tree_from_parents(parents, disps, law=None) -> MarkedTree:
     """Build a tree from explicit parent ids and displacements.
 
@@ -309,17 +373,16 @@ def tree_from_parents(parents, disps, law=None) -> MarkedTree:
     order_ok = bool(np.all(np.diff(gen) >= 0))
     if not order_ok:
         raise ValueError("nodes must be sorted by generation")
+    n_children = np.bincount(parent[1:], minlength=size).astype(np.int32)
+    # As in generate: the children of an interior vertex (childless or not)
+    # start after the root and the children of every interior vertex before it.
+    n_int = int(np.searchsorted(gen, depth))
     first_child = np.full(size, -1, dtype=np.int64)
-    n_children = np.zeros(size, dtype=np.int32)
-    for i in range(size - 1, 0, -1):
-        p = parent[i]
-        first_child[p] = i
-        n_children[p] += 1
-    # children of one parent must be contiguous
-    for i in range(1, size):
-        p = parent[i]
-        if not (first_child[p] <= i < first_child[p] + n_children[p]):
-            raise ValueError("children of one parent must be contiguous")
+    first_child[:n_int] = np.cumsum(n_children[:n_int]) - n_children[:n_int] + 1
+    kid = np.arange(1, size)
+    start = first_child[parent[1:]]
+    if not np.all((start <= kid) & (kid < start + n_children[parent[1:]])):
+        raise ValueError("children of one parent must be contiguous, in parent order")
     offsets = [0]
     for g in range(depth + 1):
         offsets.append(offsets[-1] + int((gen == g).sum()))
@@ -417,13 +480,16 @@ def partial_H(tree: MarkedTree, u: int, x: int) -> float:
     return math.exp(_logsumexp(tree.V[seg] - tree.V[x]))
 
 
-def conductance_H_level(tree: MarkedTree, ids: np.ndarray) -> np.ndarray:
-    """Vectorized H over a set of vertices (direct exponentials)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    out = np.empty(len(ids))
-    for i, x in enumerate(ids):
-        out[i] = conductance_H(tree, int(x))
-    return out
+def conductance_levels(V, parent) -> list:
+    """H per level of a tree or forest in the level layout of :class:`Forest`
+    (``parent[0]`` is not read): 1 at the roots, and H_x = 1 + exp(V(parent)
+    - V(x)) H_parent below, which equals :func:`conductance_H` up to rounding.
+    """
+    H = [np.ones(len(V[0]))]
+    for g in range(1, len(V)):
+        p = parent[g]
+        H.append(1.0 + np.exp(V[g - 1][p] - V[g]) * H[-1][p])
+    return H
 
 
 # ---------------------------------------------------------------------------

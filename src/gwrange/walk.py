@@ -20,10 +20,8 @@ the wall-clock step count of the collapsed sub-excursions is unobservable:
 reports how many collapses occurred, so ``steps`` is an exact lower bound
 on the true elapsed time and exact whenever ``dives == 0``.
 
-Alternative policies: ``error`` raises on the first frontier step with the
-partial trace attached; ``regenerate`` (see :func:`simulate`) doubles the
-truncation depth on the same tree seed and reruns, which only makes sense
-at very small scale.
+The alternative policy ``error`` raises on the first frontier step with
+the partial trace attached.
 
 A single walk is strictly sequential; finalized traces are immutable and
 shareable, and (tree, walk) replicas run embarrassingly parallel on
@@ -38,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .errors import DepthExceededError, QueryError, ResourceLimitError, StepBudgetError
+from .errors import DepthExceededError, QueryError, StepBudgetError
 from .tree import MarkedTree, generate
 
 __all__ = [
@@ -288,35 +286,12 @@ def simulate(
     seed: int,
     policy: str = "collapse",
     step_budget: int = None,
-    node_cap: int = None,
-    max_doublings: int = 4,
 ):
-    """Generate a tree and walk it; returns (tree, trace).
-
-    With ``policy="regenerate"`` the tree is rebuilt at doubled depth on
-    the same tree seed whenever the walk reaches the frontier, and the walk
-    reruns from its own seed; the node cap bounds the doubling.
-    """
-    kw = {} if node_cap is None else {"node_cap": node_cap}
-    if policy in ("collapse", "error"):
-        tree = generate(law, depth, seed=seed, **kw)
-        trace = run_excursions(tree, s, rngmod.stream(seed, "walk"), policy=policy,
-                               step_budget=step_budget)
-        return tree, trace
-    if policy != "regenerate":
-        raise ValueError(f"unknown policy {policy!r}")
-    d = depth
-    for _ in range(max_doublings + 1):
-        tree = generate(law, d, seed=seed, **kw)
-        try:
-            trace = run_excursions(tree, s, rngmod.stream(seed, "walk"),
-                                   policy="error", step_budget=step_budget)
-            return tree, trace
-        except DepthExceededError:
-            d *= 2
-    raise ResourceLimitError(
-        f"walk still reaches the frontier at depth {d // 2}; raise the cap or use collapse"
-    )
+    """Generate a tree from ``seed`` and walk it; returns (tree, trace)."""
+    tree = generate(law, depth, seed=seed)
+    trace = run_excursions(tree, s, rngmod.stream(seed, "walk"), policy=policy,
+                           step_budget=step_budget)
+    return tree, trace
 
 
 def excursion_stats(trace: WalkTrace, u: int):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,13 @@ import gwrange as g
 @pytest.fixture(scope="session")
 def law():
     return g.default_law()
+
+
+@pytest.fixture(scope="session")
+def extinguishing_law():
+    """Calibrated law whose trees die out with probability 0.3 per vertex."""
+    b = math.log(2.1)
+    return g.generic_law([(0.3, ()), (0.7, (b, b, b))])
 
 
 @pytest.fixture(scope="session")

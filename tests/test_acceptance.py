@@ -43,11 +43,11 @@ from gwrange import rng as rngmod
 from gwrange.genealogy import IncreasingCollection, Partition
 from gwrange.quenched import cross_check
 from gwrange.theory import (
-    _forest_rows,
     run_band_experiment,
     signature_sum_identity,
     split_bound_sum_identity,
 )
+from gwrange.tree import sample_forest
 
 P = Partition.make
 ACC_SEED = 1
@@ -140,13 +140,14 @@ def test_acc03_tilted_walk_vs_tree_sums(law):
         paths = g.sample_tilted_walk(law, p, rngmod.stream(ACC_SEED, "acc03-s", p),
                                      replicas=reps)
         end = paths[:, -1]
-        levels = _forest_rows(law, p, reps, rngmod.stream(ACC_SEED, "acc03-t", p))
-        term = levels[p]
-        weights = np.exp(-term["V"])
-        for name, fn in fns:
+        sums = [[] for _ in fns]
+        for f in sample_forest(law, p, reps, rngmod.stream(ACC_SEED, "acc03-t", p)):
+            term = f.V[p]
+            for acc, (_, fn) in zip(sums, fns):
+                acc.append(f.tree_sums(np.exp(-term) * fn(term)))
+        for (name, fn), acc in zip(fns, sums):
             walk_vals = fn(end)
-            tree_vals = np.bincount(term["tree"], weights=weights * fn(term["V"]),
-                                    minlength=reps)
+            tree_vals = np.concatenate(acc)
             gap = abs(walk_vals.mean() - tree_vals.mean())
             se = math.hypot(walk_vals.std(ddof=1), tree_vals.std(ddof=1)) / math.sqrt(reps)
             worst_z = max(worst_z, gap / se)
@@ -162,10 +163,8 @@ def test_acc04_martingale_checks(law):
     batch = 2_000
     vals = []
     for b in range(trees // batch):
-        levels = _forest_rows(law, 10, batch, rngmod.stream(ACC_SEED, "acc04", b))
-        term = levels[10]
-        vals.append(np.bincount(term["tree"], weights=np.exp(-term["V"]),
-                                minlength=batch))
+        for f in sample_forest(law, 10, batch, rngmod.stream(ACC_SEED, "acc04", b)):
+            vals.append(f.tree_sums(np.exp(-f.V[10])))
     w10 = np.concatenate(vals)
     se = w10.std(ddof=1) / math.sqrt(trees)
     mean_ok = abs(w10.mean() - 1.0) <= 4 * se

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,26 @@ class TestPhi:
         v_tilt, se_tilt = phi(law, 9, 3, 2.0, replicas=40_000,
                               rng=rngmod.stream(3, "phi"), mode="tilted")
         assert abs(v_tree - v_tilt) <= 4 * math.hypot(se_tree, se_tilt)
+
+    def test_extinguishing_law_tree_matches_tilted(self, extinguishing_law):
+        # trees that die out count as zero: tree mode is the annealed mean
+        v_tree, se_tree = phi(extinguishing_law, 3, 0, 2.0, replicas=20_000,
+                              rng=rngmod.stream(6, "phi"), mode="tree")
+        v_tilt, se_tilt = phi(extinguishing_law, 3, 0, 2.0, replicas=20_000,
+                              rng=rngmod.stream(7, "phi"), mode="tilted")
+        assert abs(v_tree - v_tilt) <= 4 * math.hypot(se_tree, se_tilt)
+
+    def test_tree_mode_memory_flat_in_replicas(self, law):
+        def peak(replicas):
+            tracemalloc.start()
+            try:
+                phi(law, 8, 0, 2.0, replicas=replicas, rng=rngmod.stream(8, "phi"),
+                    mode="tree")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) < 1.5 * peak(500)
 
     def test_limit_is_c_infinity(self, law):
         v, se = phi(law, 210, 10, 1.0, replicas=60_000, rng=rngmod.stream(4, "phi"))

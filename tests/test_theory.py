@@ -139,6 +139,30 @@ class TestEstimator:
         assert abs(fast - val) <= 4 * se_f
         assert abs(slow - val) <= 4 * se_s
 
+    def test_extinguishing_law_matches_closed_form(self, extinguishing_law,
+                                                    pair_collection):
+        # trees that die out count as zero on both paths
+        law = extinguishing_law
+        val = g.esp_partition_law(law, 2, (3,), pair_collection, enforce_assumptions=False)
+        fast, se_f = g.estimate_esp_partition(law, 2, (3,), pair_collection, 20_000,
+                                              rngmod.stream(7, "est"))
+        slow, se_s = g.estimate_esp_partition(law, 2, (3,), pair_collection, 2000,
+                                              rngmod.stream(8, "est"), fast=False)
+        assert abs(fast - val) <= 4 * se_f
+        assert abs(slow - val) <= 4 * se_s
+
+    @pytest.mark.parametrize("which", ["default", "extinguishing"])
+    def test_paths_agree_on_one_stream(self, which, law, extinguishing_law):
+        law = {"default": law, "extinguishing": extinguishing_law}[which]
+        coll = IncreasingCollection(
+            (P([[1, 2, 3]]), P([[1, 3], [2]]), P([[1], [2], [3]]))
+        )
+        fast = g.estimate_esp_partition(law, 3, (2, 3), coll, 300, rngmod.stream(9, "est"))
+        slow = g.estimate_esp_partition(law, 3, (2, 3), coll, 300, rngmod.stream(9, "est"),
+                                        fast=False)
+        assert fast[0] > 0
+        assert fast == pytest.approx(slow, rel=1e-12, abs=0)
+
     def test_uncalibrated_law_rejected(self, pair_collection):
         bad = g.two_point_law(b=0.5)
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ import gwrange as g
 from gwrange import rng as rngmod
 from gwrange import tree as treemod
 from gwrange.errors import AncestryError, QueryError, ResourceLimitError
-from gwrange.tree import VirtualLeaf, conductance_H_level
+from gwrange.tree import VirtualLeaf, conductance_levels
 
 
 class TestGeneration:
@@ -232,8 +232,15 @@ class TestConductance:
         )
 
     def test_always_at_least_one(self, medium_tree):
-        ids = medium_tree.generation_ids(9)[:40]
-        assert (conductance_H_level(medium_tree, ids) >= 1.0).all()
+        H = conductance_levels(*medium_tree.levels(medium_tree.depth))
+        assert all((h >= 1.0).all() for h in H)
+
+    def test_level_recursion_matches_scalar(self, medium_tree):
+        t = medium_tree
+        H = np.concatenate(conductance_levels(*t.levels(t.depth)))
+        assert len(H) == t.size
+        for x in range(t.size):
+            assert H[x] == pytest.approx(g.conductance_H(t, x), rel=1e-12, abs=0)
 
     def test_decomposition_identity(self, medium_tree):
         t = medium_tree
@@ -311,6 +318,21 @@ class TestSnapshot:
         assert np.array_equal(back.parent, tree.parent)
         assert np.allclose(back.V, tree.V)
         assert back.law == law
+
+    def test_round_trip_extinguishing_law(self, tmp_path):
+        # childless interior vertices keep the first-child position of generate
+        tree = g.generate(g.generic_law([(0.3, ()), (0.7, (0.2, 0.5))]), 12, seed=3)
+        path = tmp_path / "tree.txt"
+        g.save_snapshot(tree, path)
+        back = g.load_snapshot(path)
+        for arr in TREE_ARRAYS:
+            assert np.array_equal(getattr(back, arr), getattr(tree, arr)), arr
+
+    def test_children_listed_in_parent_order(self):
+        with pytest.raises(ValueError):
+            g.tree_from_parents([-1, 0, 0, 1, 2, 1], [0.0] * 6)
+        with pytest.raises(ValueError):
+            g.tree_from_parents([-1, 0, 0, 2, 1], [0.0] * 5)
 
     def test_lossless_walk_replay(self, law, tmp_path):
         tree = g.generate(law, 6, seed=55)

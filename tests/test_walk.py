@@ -98,12 +98,6 @@ class TestRunExcursions:
             g.run_excursions(medium_tree, 10_000, rngmod.stream(8, "w"), step_budget=50)
         assert err.value.partial is not None
 
-    def test_regenerate_policy(self, law):
-        tree, trace = g.simulate(law, 3, 4, seed=123, policy="regenerate")
-        assert trace.dives == 0
-        assert trace.complete
-        assert tree.depth >= 3
-
     def test_simulate_collapse_policy(self, law):
         tree, trace = g.simulate(law, 5, 10, seed=124)
         assert trace.complete and trace.s == 10
