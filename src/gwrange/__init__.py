@@ -88,7 +88,6 @@ from .walk import (
     excursion_stats,
     range_slice,
     run_excursions,
-    simulate,
     trace_to_csv,
     transition,
 )

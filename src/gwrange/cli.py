@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -47,10 +49,10 @@ from .environment import (
 from .errors import GwrangeError, ScheduleInfeasibleError
 from .genealogy import coalescent_times, make_F_ell_s, make_f_lambda, make_f_m
 from .quenched import hit_before_return, hit_before_return_oracle
-from .rangestats import general_range, sample_uniform_tuple
-from .theory import desk_band, limit_report, local_time_law_probe
+from .rangestats import excursion_class_masses, general_range, sample_uniform_tuple
+from .theory import desk_band, limit_report, local_time_law_probe, map_replicas, tuple_stream
 from .tree import generate, save_snapshot
-from .walk import range_slice, run_excursions, trace_to_csv
+from .walk import trace_to_csv
 
 EXPERIMENTS = (
     "band-volume",
@@ -190,61 +192,57 @@ def _cmd_constants(args, cp, law, outdir):
     return 0
 
 
-def _cmd_simulate(args, cp, law, outdir):
-    grid = _grid(args, cp)
-    n = grid[0]
-    bands = _bands(cp, law, [n])
-    lo, hi = bands[n]
-    s = int(math.ceil(math.sqrt(n)))
-    reps = args.replicas or 4
-    from .rangestats import excursion_class_masses
+def _simulate_measure(k, seed, n, rep, sl):
+    """(range_stats.csv row, walk trace) of one replica."""
+    s = sl.trace.s
+    stat = general_range(sl, k, None, s=s)
+    classes = excursion_class_masses(sl, s) if k == 2 else {}
+    row = [n, s, k, "one", rep, sl.size, sl.max_generation,
+           repr(stat.value), repr(stat.value / stat.normalization),
+           classes.get("distinct", ""), classes.get("same-single", ""),
+           classes.get("mixed", "")]
+    return row, sl.trace
 
-    rows = []
-    for rep in range(reps):
-        tree = generate(law, hi, rng=rngmod.stream(args.seed, f"tree/{n}", rep))
-        trace = run_excursions(tree, s, rngmod.stream(args.seed, f"walk/{n}", rep))
-        sl = range_slice(trace, tree, lo, hi)
+
+def _cmd_simulate(args, cp, law, outdir):
+    n = _grid(args, cp)[0]
+    lo, hi = _bands(cp, law, [n])[n]
+    reps = args.replicas or 4
+    results = map_replicas(law, n, reps, args.seed, (lo, hi),
+                           functools.partial(_simulate_measure, args.k), args.threads)
+    for rep, (_, trace) in enumerate(results):
         trace_to_csv(trace, os.path.join(outdir, f"trace_{rep}.csv"))
-        stat = general_range(sl, args.k, None, s=s)
-        classes = excursion_class_masses(sl, s) if args.k == 2 else {}
-        rows.append([n, s, args.k, "one", rep, sl.size, sl.max_generation,
-                     repr(stat.value), repr(stat.value / stat.normalization),
-                     classes.get("distinct", ""), classes.get("same-single", ""),
-                     classes.get("mixed", "")])
     with open(os.path.join(outdir, "range_stats.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "s", "k", "constraint_id", "replica", "band_count",
                     "max_generation", "value", "normalized_value",
                     "class_distinct", "class_same_single", "class_mixed"])
-        w.writerows(rows)
+        w.writerows(row for row, _ in results)
     print(f"simulate: {reps} replicas at n={n}, band [{lo},{hi}]")
     return 0
 
 
+def _genealogy_measure(k, tuples, seed, n, rep, sl):
+    """Signatures of ``tuples`` uniform k-tuples of one replica's band."""
+    if sl.size < k:
+        return []
+    srng = tuple_stream(seed, n, rep)
+    return [coalescent_times(sl.tree, sample_uniform_tuple(sl, k, srng))
+            for _ in range(tuples)]
+
+
 def _cmd_genealogy(args, cp, law, outdir):
-    grid = _grid(args, cp)
-    n = grid[0]
-    bands = _bands(cp, law, [n])
-    lo, hi = bands[n]
-    s = int(math.ceil(math.sqrt(n)))
+    n = _grid(args, cp)[0]
     reps = args.replicas or 4
-    k = args.k
-    sig_path = os.path.join(outdir, "signatures.jsonl")
+    measure = functools.partial(_genealogy_measure, args.k, args.tuples)
+    results = map_replicas(law, n, reps, args.seed, _bands(cp, law, [n])[n], measure,
+                           args.threads)
     hist = {}
-    with open(sig_path, "w") as sig_fh:
-        for rep in range(reps):
-            tree = generate(law, hi, rng=rngmod.stream(args.seed, f"tree/{n}", rep))
-            trace = run_excursions(tree, s, rngmod.stream(args.seed, f"walk/{n}", rep))
-            sl = range_slice(trace, tree, lo, hi)
-            if sl.size < k:
-                continue
-            srng = rngmod.stream(args.seed, f"tuple/{n}", rep)
-            for _ in range(args.tuples):
-                tup = sample_uniform_tuple(sl, k, srng)
-                sig = coalescent_times(tree, tup)
-                sig_fh.write(sig.to_json() + "\n")
-                for t in sig.times:
-                    hist[t] = hist.get(t, 0) + 1
+    with open(os.path.join(outdir, "signatures.jsonl"), "w") as sig_fh:
+        for sig in itertools.chain.from_iterable(results):
+            sig_fh.write(sig.to_json() + "\n")
+            for t in sig.times:
+                hist[t] = hist.get(t, 0) + 1
     with open(os.path.join(outdir, "split_times.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["split_generation", "count"])

@@ -16,6 +16,7 @@ here are immutable and the functions pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -446,18 +447,41 @@ class Constraint:
         return self.fn(tree, xs)
 
 
+def _read_signature(value, tree, xs):
+    sig = coalescent_times(tree, xs)
+    return value(sig.times, sig.collection)
+
+
 def _signature_constraint(name, value, heredity) -> Constraint:
-    """Constraint whose per-tuple value is read off the tuple's signature."""
+    """Constraint whose per-tuple value is read off the tuple's signature.
 
-    def fn(tree, xs):
-        sig = coalescent_times(tree, xs)
-        return value(sig.times, sig.collection)
+    ``value`` is a module-level function, or one bound by functools.partial,
+    so the constraint pickles and can be sent to worker processes.
+    """
+    return Constraint(name=name, fn=functools.partial(_read_signature, value),
+                      heredity_generation=heredity, by_signature=value)
 
-    return Constraint(name=name, fn=fn, heredity_generation=heredity, by_signature=value)
+
+def _one_value(times, coll):
+    return 1.0
+
+
+def _f_lambda_value(lams, times, coll):
+    req = pairwise_split_requirements(times, coll)
+    ok = all(req[(i, i + 1)] < lams[i - 1] for i in range(1, coll.k))
+    return 1.0 if ok else 0.0
+
+
+def _f_m_value(m, times, coll):
+    return 1.0 if times[-1] <= m else 0.0
+
+
+def _F_value(svec, times, coll):
+    return 1.0 if tuple(times) == svec else 0.0
 
 
 def constant_one(k: int = None) -> Constraint:
-    return _signature_constraint("one", lambda times, coll: 1.0, 1)
+    return _signature_constraint("one", _one_value, 1)
 
 
 def make_f_lambda(lams) -> Constraint:
@@ -467,22 +491,15 @@ def make_f_lambda(lams) -> Constraint:
     math.inf removes that pair's constraint.
     """
     lams = tuple(lams)
-
-    def value(times, coll):
-        req = pairwise_split_requirements(times, coll)
-        ok = all(req[(i, i + 1)] < lams[i - 1] for i in range(1, coll.k))
-        return 1.0 if ok else 0.0
-
     finite = [l for l in lams if math.isfinite(l)]
     heredity = max(finite) if finite else 1
-    return _signature_constraint(f"f_lambda{lams}", value, heredity)
+    return _signature_constraint(f"f_lambda{lams}", functools.partial(_f_lambda_value, lams),
+                                 heredity)
 
 
 def make_f_m(m: int) -> Constraint:
     """Indicator of a full split by generation m (the last split time)."""
-    return _signature_constraint(
-        f"f_m{m}", lambda times, coll: 1.0 if times[-1] <= m else 0.0, m
-    )
+    return _signature_constraint(f"f_m{m}", functools.partial(_f_m_value, m), m)
 
 
 def make_F_ell_s(ell: int, svec, k: int) -> Constraint:
@@ -491,10 +508,8 @@ def make_F_ell_s(ell: int, svec, k: int) -> Constraint:
     svec = tuple(svec)
     if len(svec) != ell:
         raise SignatureError("need one split time per refinement step")
-    return _signature_constraint(
-        f"F_{ell}_{svec}", lambda times, coll: 1.0 if tuple(times) == svec else 0.0,
-        svec[-1],
-    )
+    return _signature_constraint(f"F_{ell}_{svec}", functools.partial(_F_value, svec),
+                                 svec[-1])
 
 
 def hereditary_check(

@@ -10,6 +10,7 @@ through trend verdicts along a growing budget grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .genealogy import (
 from .rangestats import (
     AncestorForest,
     excursion_class_masses,
+    general_range,
     reference_tuple_sum,
     sample_uniform_tuple,
     signature_sum,
@@ -52,6 +54,8 @@ __all__ = [
     "pairwise_split_requirements",
     "desk_band",
     "BandRun",
+    "map_replicas",
+    "tuple_stream",
     "run_band_experiment",
     "limit_report",
     "local_time_law_probe",
@@ -239,34 +243,64 @@ class BandRun:
         return self.band_count / (math.sqrt(self.n) * self.width)
 
 
-def _band_replica(job) -> BandRun:
-    (law, n, rep, seed, lower, upper, with_classes, tuples_per_run, split_bound) = job
-    s = int(math.ceil(math.sqrt(n)))
+def tuple_stream(seed: int, n: int, rep: int) -> np.random.Generator:
+    """The stream replica ``rep`` at budget n samples its band tuples from."""
+    return rngmod.stream(seed, f"tuple/{n}", rep)
+
+
+def _replica(job):
+    law, n, rep, seed, lower, upper, measure = job
     tree = generate(law, upper, rng=rngmod.stream(seed, f"tree/{n}", rep))
-    trace = run_excursions(tree, s, rngmod.stream(seed, f"walk/{n}", rep))
-    sl = range_slice(trace, tree, lower, upper)
-    masses = excursion_class_masses(sl, s) if with_classes else None
+    trace = run_excursions(tree, int(math.ceil(math.sqrt(n))),
+                           rngmod.stream(seed, f"walk/{n}", rep))
+    return measure(seed, n, rep, range_slice(trace, tree, lower, upper))
+
+
+def map_replicas(law: EnvironmentLaw, n: int, replicas: int, seed: int, band, measure,
+                 threads: int = 1) -> list:
+    """``measure(seed, n, rep, slice)`` of each (tree, walk, band) replica, in
+    replica order.
+
+    Replica ``rep`` generates a tree truncated at the band's upper edge on
+    the stream tagged tree/n, walks ceil(sqrt(n)) excursions on walk/n and
+    slices the visited set to the band (``None`` picks :func:`desk_band`); a
+    measure that samples tuples builds :func:`tuple_stream` (tagged tuple/n)
+    itself. The streams are counter-based, so the result is identical for
+    any worker count. ``threads > 1`` maps over a process pool, so the
+    measure must then pickle: a module-level function, bound with
+    ``functools.partial``. Only the measure's result outlives a replica, so
+    it should not hold the tree.
+    """
+    lower, upper = desk_band(law, n) if band is None else band
+    jobs = [(law, n, rep, seed, lower, upper, measure) for rep in range(replicas)]
+    if threads <= 1:
+        return [_replica(j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(_replica, jobs))
+
+
+def _band_measure(with_classes, tuples_per_run, seed, n, rep, sl) -> BandRun:
+    tree = sl.tree
     splits = None
     if tuples_per_run > 0 and sl.size >= 2:
-        srng = rngmod.stream(seed, f"tuple/{n}", rep)
-        splits = []
-        for _ in range(tuples_per_run):
-            tup = sample_uniform_tuple(sl, 2, srng, split_bound=split_bound)
-            splits.append(first_full_split(tree, tup))
-    multi = float((sl.excursion_counts() >= 2).mean()) if sl.size else None
+        srng = tuple_stream(seed, n, rep)
+        splits = [first_full_split(tree, sample_uniform_tuple(sl, 2, srng))
+                  for _ in range(tuples_per_run)]
     return BandRun(
         n=n,
         replica=rep,
-        s=s,
-        lower=lower,
-        upper=upper,
+        s=sl.trace.s,
+        lower=sl.lower,
+        upper=sl.upper,
         depth=tree.depth,
         martingale_depth=additive_martingale(tree, tree.depth),
         band_count=sl.size,
         max_generation=sl.max_generation,
-        class_masses=masses,
+        class_masses=excursion_class_masses(sl, sl.trace.s) if with_classes else None,
         split_samples=splits,
-        multi_visit_fraction=multi,
+        multi_visit_fraction=float((sl.excursion_counts() >= 2).mean()) if sl.size else None,
     )
 
 
@@ -278,28 +312,16 @@ def run_band_experiment(
     band=None,
     with_classes: bool = False,
     tuples_per_run: int = 0,
-    split_bound: int = None,
     threads: int = 1,
 ) -> list:
     """Simulate `replicas` independent (tree, walk) pairs at budget n.
 
-    Each run generates a tree truncated at the band's upper edge, walks
-    ceil(sqrt(n)) excursions, slices the visited set to the band, and
-    summarizes what the limit comparisons need. Replicas use independent
-    counter-based streams, so the result (in replica order) is identical
-    for any worker count.
+    Each run of :func:`map_replicas` is summarized as a :class:`BandRun`:
+    depth martingale, band count, optionally the excursion-class masses and
+    the full-split generations of ``tuples_per_run`` uniform pairs.
     """
-    lower, upper = desk_band(law, n) if band is None else band
-    jobs = [
-        (law, n, rep, seed, lower, upper, with_classes, tuples_per_run, split_bound)
-        for rep in range(replicas)
-    ]
-    if threads <= 1:
-        return [_band_replica(j) for j in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_band_replica, jobs))
+    measure = functools.partial(_band_measure, with_classes, tuples_per_run)
+    return map_replicas(law, n, replicas, seed, band, measure, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +330,31 @@ def run_band_experiment(
 
 
 def _c_infinity_value(law, seed):
-    est = estimate_c_infinity(law, truncation=200, replicas=200_000,
-                              rng=rngmod.stream(seed, "cinf"))
-    return est
+    return estimate_c_infinity(law, truncation=200, replicas=200_000,
+                               rng=rngmod.stream(seed, "cinf"))
+
+
+def _grid_row(n, stats, target, deviation, **extra) -> dict:
+    stats = np.asarray(stats)
+    return {"n": n, "mean": float(stats.mean()),
+            "se": float(stats.std(ddof=1) / math.sqrt(len(stats))),
+            "target": target, "deviation": deviation, **extra}
+
+
+def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
+    """(statistic, target) of one replica; the volume target still lacks the
+    c_inf**k factor. None when the ratio's denominator vanishes."""
+    tree, s = sl.tree, sl.trace.s
+    num = general_range(sl, k, constraint, s=s)
+    lstar = min(l_star, tree.depth)
+    if experiment == "constrained-volume":
+        return (num.value / (math.sqrt(n) * sl.width) ** k,
+                weighted_range_A_l(tree, k, lstar, constraint))
+    den = general_range(sl, k, None, s=s)
+    if den.value == 0:
+        return None
+    a_f = weighted_range_A_l(tree, k, lstar, constraint)
+    return num.value / den.value, a_f / weighted_range_A_l(tree, k, lstar, None)
 
 
 def limit_report(
@@ -334,7 +378,10 @@ def limit_report(
     distinct excursions, expected to shrink), ``split-cdf`` (law of the
     full-split generation of sampled pairs, expected to stabilize),
     ``constrained-volume`` and ``constrained-ratio`` (constrained tuple
-    sums against their per-tree deep-level proxies).
+    sums against their per-tree deep-level proxies). Every experiment draws
+    its replicas through :func:`map_replicas` on ``threads`` workers. The
+    Monte Carlo visit-rate constant c_inf is estimated only where a target
+    reads it, for ``band-volume`` and ``constrained-volume``.
     """
     n_grid = sorted(int(n) for n in n_grid)
     report = {
@@ -349,27 +396,19 @@ def limit_report(
         reps = {n: replicas.get(n, 8) for n in n_grid}
     else:
         reps = {n: replicas for n in n_grid}
+    bands = bands or {}
     if experiment == "band-volume":
         cinf = _c_infinity_value(law, seed)
         medians = []
         for n in n_grid:
-            band = None if bands is None else bands.get(n)
-            runs = run_band_experiment(law, n, reps[n], seed, band=band, threads=threads)
+            runs = run_band_experiment(law, n, reps[n], seed, band=bands.get(n), threads=threads)
             stats = np.array([r.volume_stat for r in runs])
             targets = np.array([cinf.value * r.martingale_depth for r in runs])
             devs = np.abs(stats - targets)
-            rel = devs / targets
             medians.append(float(np.median(devs)))
-            report["grid"].append(
-                {
-                    "n": n,
-                    "mean": float(stats.mean()),
-                    "se": float(stats.std(ddof=1) / math.sqrt(len(stats))),
-                    "target": float(targets.mean()),
-                    "deviation": float(np.median(devs)),
-                    "relative_deviation_median": float(np.median(rel)),
-                }
-            )
+            report["grid"].append(_grid_row(
+                n, stats, float(targets.mean()), medians[-1],
+                relative_deviation_median=float(np.median(devs / targets))))
         trend = all(b <= a for a, b in zip(medians, medians[1:]))
         final_rel = report["grid"][-1]["relative_deviation_median"]
         report["verdict"] = {
@@ -382,25 +421,15 @@ def limit_report(
     if experiment == "excursion-classes":
         fracs = []
         for n in n_grid:
-            band = None if bands is None else bands.get(n)
-            runs = run_band_experiment(law, n, reps[n], seed, band=band, with_classes=True,
-                                       threads=threads)
+            runs = run_band_experiment(law, n, reps[n], seed, band=bands.get(n),
+                                       with_classes=True, threads=threads)
             per_run = []
             for r in runs:
                 m = r.class_masses
                 if m["total"]:
                     per_run.append((m["same-single"] + m["mixed"]) / m["total"])
-            med = float(np.median(per_run))
-            fracs.append(med)
-            report["grid"].append(
-                {
-                    "n": n,
-                    "mean": float(np.mean(per_run)),
-                    "se": float(np.std(per_run, ddof=1) / math.sqrt(len(per_run))),
-                    "target": 0.0,
-                    "deviation": med,
-                }
-            )
+            fracs.append(float(np.median(per_run)))
+            report["grid"].append(_grid_row(n, per_run, 0.0, fracs[-1]))
         trend = all(b <= a for a, b in zip(fracs, fracs[1:]))
         report["verdict"] = {"deviation_non_increasing": bool(trend), "pass": bool(trend)}
         return report
@@ -408,11 +437,8 @@ def limit_report(
         ms = list(range(1, 7))
         rows = []
         for n in n_grid:
-            band = None if bands is None else bands.get(n)
-            runs = run_band_experiment(
-                law, n, reps[n], seed, tuples_per_run=tuples_per_run,
-                band=band, threads=threads,
-            )
+            runs = run_band_experiment(law, n, reps[n], seed, band=bands.get(n),
+                                       tuples_per_run=tuples_per_run, threads=threads)
             per_run_cdf = []
             for r in runs:
                 if r.split_samples:
@@ -447,48 +473,19 @@ def limit_report(
     if experiment in ("constrained-volume", "constrained-ratio"):
         if constraint is None:
             raise ValueError("constraint required for this experiment")
-        cinf = _c_infinity_value(law, seed)
+        scale = 1.0
+        if experiment == "constrained-volume":
+            scale = _c_infinity_value(law, seed).value ** k
+        measure = functools.partial(_constrained_measure, experiment, k, constraint, l_star)
         medians = []
         for n in n_grid:
-            band = (bands.get(n) if bands else None) or desk_band(law, n)
-            lower, upper = band
-            s = int(math.ceil(math.sqrt(n)))
-            devs = []
-            stats = []
-            targets = []
-            from .rangestats import general_range
-
-            for rep in range(reps[n]):
-                tree = trace = sl = None  # free the last replica before drawing the next
-                tree = generate(law, upper, rng=rngmod.stream(seed, f"tree/{n}", rep))
-                trace = run_excursions(tree, s, rngmod.stream(seed, f"walk/{n}", rep))
-                sl = range_slice(trace, tree, lower, upper)
-                num = general_range(sl, k, constraint, s=s)
-                lstar = min(l_star, tree.depth)
-                if experiment == "constrained-volume":
-                    stat = num.value / (math.sqrt(n) * sl.width) ** k
-                    target = cinf.value**k * weighted_range_A_l(tree, k, lstar, constraint)
-                else:
-                    den = general_range(sl, k, None, s=s)
-                    if den.value == 0:
-                        continue
-                    stat = num.value / den.value
-                    a_f = weighted_range_A_l(tree, k, lstar, constraint)
-                    a_1 = weighted_range_A_l(tree, k, lstar, None)
-                    target = a_f / a_1
-                stats.append(stat)
-                targets.append(target)
-                devs.append(abs(stat - target))
+            runs = map_replicas(law, n, reps[n], seed, bands.get(n), measure, threads)
+            pairs = [p for p in runs if p is not None]
+            stats = [stat for stat, _ in pairs]
+            targets = [scale * target for _, target in pairs]
+            devs = [abs(stat - target) for stat, target in zip(stats, targets)]
             medians.append(float(np.median(devs)))
-            report["grid"].append(
-                {
-                    "n": n,
-                    "mean": float(np.mean(stats)),
-                    "se": float(np.std(stats, ddof=1) / math.sqrt(len(stats))),
-                    "target": float(np.mean(targets)),
-                    "deviation": float(np.median(devs)),
-                }
-            )
+            report["grid"].append(_grid_row(n, stats, float(np.mean(targets)), medians[-1]))
         trend = all(b <= a * 1.05 for a, b in zip(medians, medians[1:]))
         report["verdict"] = {"deviation_non_increasing": bool(trend), "pass": bool(trend)}
         return report

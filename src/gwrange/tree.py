@@ -455,9 +455,10 @@ def is_ancestor(tree: MarkedTree, u: int, x: int) -> bool:
 
 
 def additive_martingale(tree: MarkedTree, n: int) -> float:
-    """W_n = sum over generation n of exp(-V)."""
-    ids = tree.generation_ids(n)
-    return float(tree.exp_neg_v[ids].sum())
+    """W_n = sum over generation n of exp(-V), leaving the whole-tree
+    ``exp_neg_v`` cache unbuilt (it would set a deep tree's peak memory)."""
+    w = np.negative(tree.V[tree.generation_ids(n)])
+    return float(np.exp(w, out=w).sum())
 
 
 def _logsumexp(a: np.ndarray) -> float:

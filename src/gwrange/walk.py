@@ -35,16 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng as rngmod
 from .errors import DepthExceededError, QueryError, StepBudgetError
-from .tree import MarkedTree, generate
+from .tree import MarkedTree
 
 __all__ = [
     "WalkTrace",
     "RangeSlice",
     "transition",
     "run_excursions",
-    "simulate",
     "excursion_stats",
     "range_slice",
     "trace_to_csv",
@@ -277,21 +275,6 @@ def _finalize(records, entry_lists, tree, s, steps, dives, return_steps, complet
         root_local_time=int(max(s, 0)),
         complete=complete,
     )
-
-
-def simulate(
-    law,
-    depth: int,
-    s: int,
-    seed: int,
-    policy: str = "collapse",
-    step_budget: int = None,
-):
-    """Generate a tree from ``seed`` and walk it; returns (tree, trace)."""
-    tree = generate(law, depth, seed=seed)
-    trace = run_excursions(tree, s, rngmod.stream(seed, "walk"), policy=policy,
-                           step_budget=step_budget)
-    return tree, trace
 
 
 def excursion_stats(trace: WalkTrace, u: int):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from gwrange.cli import main
 
@@ -52,6 +55,29 @@ class TestSubcommands:
         assert rep["exact"] is False
 
 
+# commands that draw (tree, walk, band) replicas; the digests of their
+# artifacts below were taken before the replica driver replaced the
+# per-command loops
+REPLICA_COMMANDS = {
+    "excursion-classes": ["verify", "excursion-classes", "--n-grid", "2000",
+                          "--replicas", "4", "--seed", "8"],
+    "simulate": ["simulate", "--n-grid", "2000", "--replicas", "2", "--seed", "4"],
+    "genealogy": ["genealogy", "--n-grid", "2000", "--replicas", "2", "--tuples", "20",
+                  "--seed", "4", "--k", "3"],
+    "constrained-ratio": ["verify", "constrained-ratio", "--constraint", "f_lambda:3",
+                          "--n-grid", "2000", "--replicas", "3", "--seed", "4"],
+}
+
+PINNED_DIGESTS = {
+    "simulate": ("range_stats.csv",
+                 "fecb1eb8d8953ff0599ebc27152b2e48dbddba7a109fbb3815bc4d933e45bd2b"),
+    "genealogy": ("signatures.jsonl",
+                  "4e38741c5831f01230a19498d82a43d1d1a5720445aed18a1d6454ec197b7501"),
+    "constrained-ratio": ("report.json",
+                          "f2587f489748cbd4296e346daacf7a67410e7da74803975aacebed0d8afa16e5"),
+}
+
+
 class TestReproducibility:
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -61,13 +87,26 @@ class TestReproducibility:
         for name in ("report.json", "grid.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_worker_count_invisible_in_artifacts(self, tmp_path):
+    @pytest.mark.parametrize("name", list(REPLICA_COMMANDS))
+    def test_worker_count_invisible_in_artifacts(self, tmp_path, name):
         a, b = tmp_path / "a", tmp_path / "b"
-        run(["verify", "excursion-classes", "--n-grid", "2000", "--replicas", "4",
-             "--seed", "8", "--threads", "1"], a)
-        run(["verify", "excursion-classes", "--n-grid", "2000", "--replicas", "4",
-             "--seed", "8", "--threads", "2"], b)
-        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+        assert run(REPLICA_COMMANDS[name] + ["--threads", "1"], a) == 0
+        assert run(REPLICA_COMMANDS[name] + ["--threads", "2"], b) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for f in names:
+            if f == "manifest.json":
+                ma, mb = (json.loads((d / f).read_text()) for d in (a, b))
+                assert (ma.pop("threads"), mb.pop("threads")) == (1, 2)
+                assert ma == mb
+            else:
+                assert (a / f).read_bytes() == (b / f).read_bytes(), f
+
+    @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+    def test_artifact_digests_pinned(self, tmp_path, name):
+        artifact, digest = PINNED_DIGESTS[name]
+        assert run(REPLICA_COMMANDS[name], tmp_path) == 0
+        assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
 
 
 class TestFailureHandling:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_pair_count_and_constraints_match_enumeration(walked_n1e4):
         stat = g.general_range(sl, 2, f)
         total, count = reference_tuple_sum(sl.tree, sl.ids, 2, f)
         assert (stat.value, stat.tuple_count) == (total, count)
+
+
+def test_library_constraints_pickle(walked_n1e4):
+    # limit_report ships its constraint to worker processes
+    tree, trace = walked_n1e4
+    sl = range_slice(trace, tree, 14, 15)
+    cases = [(constant_one(), 2), (g.make_f_m(6), 2), (g.make_f_lambda([3]), 2),
+             (g.make_f_lambda([3, math.inf]), 3), (g.make_F_ell_s(1, [4], 2), 2),
+             (g.make_F_ell_s(2, [2, 4], 3), 3)]
+    tuples = list(itertools.permutations(sl.ids[:6].tolist(), 3))
+    for f, k in cases:
+        back = pickle.loads(pickle.dumps(pickle.loads(pickle.dumps(f))))
+        assert (back.name, back.heredity_generation) == (f.name, f.heredity_generation)
+        assert g.general_range(sl, k, back).value == g.general_range(sl, k, f).value
+        assert [back(tree, t[:k]) for t in tuples] == [f(tree, t[:k]) for t in tuples]
 
 
 def test_reference_sum_is_exact():

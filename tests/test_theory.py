@@ -4,6 +4,7 @@ import pytest
 
 import gwrange as g
 from gwrange import rng as rngmod
+from gwrange import theory
 from gwrange.errors import DomainError, ScheduleInfeasibleError, SignatureError
 from gwrange.genealogy import IncreasingCollection, Partition
 from gwrange.theory import (
@@ -221,10 +222,25 @@ class TestReports:
         assert rep["constraint"] == f.name
         assert len(rep["grid"]) == 2
 
-    def test_threads_do_not_change_results(self, law):
-        a = g.limit_report("band-volume", law, [2000], replicas=4, seed=11)
-        b = g.limit_report("band-volume", law, [2000], replicas=4, seed=11, threads=2)
+    @pytest.mark.parametrize("experiment, constraint", [
+        ("band-volume", None),
+        ("constrained-ratio", g.make_f_lambda([3])),
+        ("constrained-volume", g.make_F_ell_s(1, [3], 2)),
+    ], ids=["band-volume", "constrained-ratio", "constrained-volume"])
+    def test_threads_do_not_change_results(self, law, experiment, constraint):
+        kw = dict(constraint=constraint, replicas=4, seed=11, l_star=8)
+        a = g.limit_report(experiment, law, [2000], **kw)
+        b = g.limit_report(experiment, law, [2000], threads=2, **kw)
         assert a == b
+
+    def test_constrained_ratio_reads_no_c_infinity(self, law, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("constrained-ratio estimated c_inf")
+
+        monkeypatch.setattr(theory, "estimate_c_infinity", refuse)
+        rep = g.limit_report("constrained-ratio", law, [2000], constraint=g.make_f_m(5),
+                             replicas=3, seed=10, l_star=8)
+        assert len(rep["grid"]) == 1
 
 
 class TestLocalTimeProbe:

@@ -7,6 +7,7 @@ import pytest
 import gwrange as g
 from gwrange import rng as rngmod
 from gwrange.errors import DepthExceededError, QueryError, StepBudgetError
+from gwrange.theory import map_replicas
 from gwrange.walk import REFLECTOR
 
 
@@ -99,9 +100,12 @@ class TestRunExcursions:
         assert err.value.partial is not None
 
     def test_simulate_collapse_policy(self, law):
-        tree, trace = g.simulate(law, 5, 10, seed=124)
-        assert trace.complete and trace.s == 10
-        assert tree.depth == 5
+        # the replica driver walks ceil(sqrt(n)) excursions under the default
+        # (collapse) policy on a tree truncated at the band's upper edge
+        def measure(seed, n, rep, sl):
+            return sl.trace.complete, sl.trace.s, sl.tree.depth
+
+        assert map_replicas(law, 100, 2, 124, (3, 5), measure) == [(True, 10, 5)] * 2
 
     def test_walk_handles_interior_dead_ends(self):
         # a law with extinction: surviving trees still contain childless
@@ -150,7 +154,9 @@ class TestWalkDigests:
         # a fresh tree: the shared fixtures may have built the weights elsewhere
         tree = g.generate(law, 10, seed=202)
         g.run_excursions(tree, 50, rngmod.stream(11, "w"))
+        w = g.additive_martingale(tree, 7)
         assert tree._exp_neg_v is None
+        assert w == tree.exp_neg_v[tree.generation_ids(7)].sum()
 
 
 class TestExcursionStats:
