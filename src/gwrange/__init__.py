@@ -6,6 +6,7 @@ desk-scale verification of the associated limit predictions."""
 from .environment import (
     EnvironmentLaw,
     Schedule,
+    c_infinity,
     c_zero,
     check_assumptions,
     classify_regime,

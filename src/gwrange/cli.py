@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``assumptions``  standing-assumption report for the configured law
-* ``constants``    closed-form and Monte Carlo constants table
+* ``constants``    closed-form, deterministic and Monte Carlo constants table
 * ``simulate``     tree + walk replicas, trace and band-slice exports
 * ``genealogy``    signatures and split-time histograms of sampled tuples
 * ``verify``       limit-comparison report for one experiment id
@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .environment import (
+    c_infinity,
     c_zero,
     check_assumptions,
     classify_regime,
@@ -156,16 +157,24 @@ def _cmd_assumptions(args, cp, law, outdir):
 
 
 def _cmd_constants(args, cp, law, outdir):
-    rng = rngmod.stream(args.seed, "constants")
-    cinf = estimate_c_infinity(law, truncation=args.truncation,
-                               replicas=args.replicas or 100_000, rng=rng)
+    cinf = c_infinity(law)
+    cinf_out = {"value": cinf.value, "error": cinf.error, "method": "deterministic",
+                "bracket": list(cinf.bracket)}
+    mc_text = ""
+    if law.family != "gaussian":
+        # the Monte Carlo oracle draws tilted paths, which need a finite step law
+        mc = estimate_c_infinity(law, truncation=args.truncation,
+                                 replicas=args.replicas or 100_000,
+                                 rng=rngmod.stream(args.seed, "constants"))
+        cinf_out["monte_carlo"] = {"value": mc.value, "se": mc.se,
+                                   "truncation": mc.truncation, "replicas": mc.replicas}
+        mc_text = f" (Monte Carlo {mc.value:.6f} +- {mc.se:.1e})"
     kap = kappa(law)
     out = {
         "psi": {str(t): log_laplace(law, t) for t in (0.0, 1.0, 2.0, 3.0, 4.0)},
         "psi_prime1": log_laplace_prime(law, 1.0),
         "kappa": kap if math.isfinite(kap) else "inf",
-        "c_infinity": {"value": cinf.value, "se": cinf.se,
-                       "bracket": list(cinf.bracket), "truncation": cinf.truncation},
+        "c_infinity": cinf_out,
         "c_zero": c_zero(law),
     }
     try:
@@ -188,7 +197,8 @@ def _cmd_constants(args, cp, law, outdir):
         w.writerow(["j", "beta", "value"])
         for r in out["c_j"]:
             w.writerow([r["j"], " ".join(map(str, r["beta"])), repr(r["value"])])
-    print(f"constants: c_inf={cinf.value:.6f} c0={out['c_zero']:.6f} kappa={out['kappa']}")
+    print(f"constants: c_inf={cinf.value:.9f} +- {cinf.error:.1e} (deterministic){mc_text} "
+          f"c0={out['c_zero']:.6f} kappa={out['kappa']}")
     return 0
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, ScheduleInfeasibleError
+from .errors import CalibrationError, DomainError, ScheduleInfeasibleError, SolverError
 
 __all__ = [
     "EnvironmentLaw",
@@ -44,6 +44,8 @@ __all__ = [
     "sample_tilted_walk",
     "tilted_path_values",
     "estimate_c_infinity",
+    "c_infinity",
+    "CInfinity",
     "moment_c_j",
     "c_zero",
     "Schedule",
@@ -61,6 +63,14 @@ ROOT_TOL = 1e-9
 KAPPA_T_MAX = 64.0
 # Rows of tilted-walk paths held in memory at once.
 TILTED_BLOCK_ROWS = 4096
+# Deterministic c_inf (see c_infinity): intervals of the coarser log-y grid,
+# top of the grid, sup-norm tolerance and cap of the fixed-point sweeps, and
+# quadrature nodes of the gaussian family's tilted step.
+C_INF_GRID = 20_000
+C_INF_Y_MAX = 1e7
+C_INF_TOL = 1e-13
+C_INF_MAX_ITER = 2_000
+GAUSS_HERMITE_NODES = 24
 
 # Generation-band formulas use base-10 logarithms (see compute_schedule).
 _LOG = math.log10
@@ -441,6 +451,102 @@ def estimate_c_infinity(
     value = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicas))
     return CInfinityEstimate(value, se, truncation, replicas, (lo, 1.0))
+
+
+@dataclass(frozen=True)
+class CInfinity:
+    """Deterministic c_inf; ``error`` estimates its grid discretization error."""
+
+    value: float
+    error: float
+    bracket: tuple
+
+
+def _tilted_step_nodes(law: EnvironmentLaw):
+    """(values, probabilities) of the tilted step.
+
+    Finite-atom laws give the atoms of :func:`many_to_one_step_law`. The
+    gaussian family's tilted step is N(mean - sd^2, sd^2); it is replaced by
+    ``GAUSS_HERMITE_NODES`` Gauss-Hermite nodes.
+    """
+    if law.family != "gaussian":
+        atoms = many_to_one_step_law(law)
+        return np.array([v for v, _ in atoms]), np.array([p for _, p in atoms])
+    psi1 = log_laplace(law, 1.0)
+    if abs(psi1) > ROOT_TOL:
+        raise CalibrationError(f"psi(1) = {psi1}, not 0: the tilted step has no law")
+    x, w = np.polynomial.hermite_e.hermegauss(GAUSS_HERMITE_NODES)
+    sd = law.gauss_sd
+    return law.gauss_mean - sd * sd + sd * x, w / math.sqrt(2.0 * math.pi)
+
+
+def _interpolation(logq, weights, x0, h, intervals, mean_p):
+    """Gather indices K, weights W and tail values t such that
+    (u[K] * W).sum(axis=0) + t == (weights * u(exp(logq))).sum(axis=0).
+
+    ``u`` holds values on the grid x0 + h * i, i = 0..intervals, of log y, is
+    linear in log y between grid points and equals 1 - mean_p / y above the
+    grid. Every query must lie at or above x0.
+    """
+    pos = (logq - x0) / h
+    inside = pos <= intervals
+    k = np.minimum(pos.astype(np.int64), intervals - 1)
+    t = pos - k
+    w = np.where(inside, weights, 0.0)
+    tail = np.where(inside, 0.0, weights * (1.0 - mean_p * np.exp(-logq))).sum(axis=0)
+    return np.concatenate([k, k + 1]), np.concatenate([w * (1.0 - t), w * t]), tail
+
+
+def _perpetuity_solve(xi, p, mean_p, intervals):
+    """c_inf = E[u(e^xi)] from the fixed point u(y) = y/(1+y) E[u(e^xi (1+y))]
+    on a grid of ``intervals`` intervals in log y."""
+    x0 = float(xi.min())
+    x1 = max(math.log(C_INF_Y_MAX), x0 + 1.0)
+    h = (x1 - x0) / intervals
+    x = x0 + h * np.arange(intervals + 1)
+    # one row per step value; log(e^xi (1+y)) >= x0, so the grid covers each query
+    logq = xi[:, None] + np.logaddexp(0.0, x)
+    ratio = 1.0 / (1.0 + np.exp(-x))  # y / (1+y)
+    idx, w, tail = _interpolation(logq, p[:, None] * ratio, x0, h, intervals, mean_p)
+    u = 1.0 / (1.0 + mean_p * np.exp(-x))  # y / (y + E[P]), the tail's first order
+    for _ in range(C_INF_MAX_ITER):
+        nxt = (u[idx] * w).sum(axis=0) + tail
+        gap = float(np.max(np.abs(nxt - u)))
+        u = nxt
+        if gap <= C_INF_TOL:
+            break
+    else:
+        raise SolverError(
+            f"c_inf fixed point not converged in {C_INF_MAX_ITER} iterations", residual=gap)
+    idx, w, tail = _interpolation(xi[:, None], p[:, None], x0, h, intervals, mean_p)
+    return float((u[idx] * w).sum() + tail[0])
+
+
+def c_infinity(law: EnvironmentLaw) -> CInfinity:
+    """Deterministic c_inf = E[1/P] with P = sum_{j>=0} exp(-S_j) along the
+    tilted walk.
+
+    P is the perpetuity P = 1 + exp(-xi) P' (xi one tilted step, P' an
+    independent copy), so u(y) = E[y/(y+P)] solves u(y) = y/(1+y) *
+    E[u(e^xi (1+y))] and c_inf = E[u(e^xi)]. The fixed point is iterated on a
+    uniform grid in log y from the lowest step value to ``C_INF_Y_MAX``, with
+    linear interpolation and the tail u(y) = 1 - E[P]/y above the grid,
+    E[P] = 1/(1 - exp(psi(2))). The value is that of ``2 * C_INF_GRID``
+    intervals; the scheme is second order, so ``error`` is a third of its
+    gap to ``C_INF_GRID`` intervals. The sweeps contract roughly like
+    exp(psi(2)) per sweep, so laws near psi(2) = 0 need many; the solve
+    raises :class:`SolverError` when the sup-norm change has not fallen to
+    ``C_INF_TOL`` within ``C_INF_MAX_ITER`` sweeps, and
+    :class:`DomainError` when psi(2) >= 0 (E[P] infinite).
+    """
+    psi2 = log_laplace(law, 2.0)
+    if psi2 >= 0.0:
+        raise DomainError("psi(2) >= 0: the perpetuity has no finite mean")
+    xi, p = _tilted_step_nodes(law)
+    mean_p = 1.0 / (1.0 - math.exp(psi2))
+    coarse = _perpetuity_solve(xi, p, mean_p, C_INF_GRID)
+    fine = _perpetuity_solve(xi, p, mean_p, 2 * C_INF_GRID)
+    return CInfinity(fine, abs(fine - coarse) / 3.0, (1.0 - math.exp(psi2), 1.0))
 
 
 # ---------------------------------------------------------------------------

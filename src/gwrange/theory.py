@@ -20,8 +20,8 @@ import numpy as np
 from . import rng as rngmod
 from .environment import (
     EnvironmentLaw,
+    c_infinity,
     c_zero,
-    estimate_c_infinity,
     kappa,
     log_laplace,
     moment_c_j,
@@ -329,9 +329,8 @@ def run_band_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _c_infinity_value(law, seed):
-    return estimate_c_infinity(law, truncation=200, replicas=200_000,
-                               rng=rngmod.stream(seed, "cinf"))
+def _c_infinity_record(cinf) -> dict:
+    return {"value": cinf.value, "error": cinf.error, "method": "deterministic"}
 
 
 def _grid_row(n, stats, target, deviation, **extra) -> dict:
@@ -380,8 +379,9 @@ def limit_report(
     ``constrained-volume`` and ``constrained-ratio`` (constrained tuple
     sums against their per-tree deep-level proxies). Every experiment draws
     its replicas through :func:`map_replicas` on ``threads`` workers. The
-    Monte Carlo visit-rate constant c_inf is estimated only where a target
-    reads it, for ``band-volume`` and ``constrained-volume``.
+    visit-rate constant c_inf is computed deterministically by
+    :func:`gwrange.environment.c_infinity`, only where a target reads it: for
+    ``band-volume`` and ``constrained-volume``, whose reports record it.
     """
     n_grid = sorted(int(n) for n in n_grid)
     report = {
@@ -398,7 +398,7 @@ def limit_report(
         reps = {n: replicas for n in n_grid}
     bands = bands or {}
     if experiment == "band-volume":
-        cinf = _c_infinity_value(law, seed)
+        cinf = c_infinity(law)
         medians = []
         for n in n_grid:
             runs = run_band_experiment(law, n, reps[n], seed, band=bands.get(n), threads=threads)
@@ -416,7 +416,7 @@ def limit_report(
             "final_relative_deviation": final_rel,
             "pass": bool(trend and final_rel < 0.35),
         }
-        report["c_infinity"] = {"value": cinf.value, "se": cinf.se}
+        report["c_infinity"] = _c_infinity_record(cinf)
         return report
     if experiment == "excursion-classes":
         fracs = []
@@ -475,7 +475,9 @@ def limit_report(
             raise ValueError("constraint required for this experiment")
         scale = 1.0
         if experiment == "constrained-volume":
-            scale = _c_infinity_value(law, seed).value ** k
+            cinf = c_infinity(law)
+            report["c_infinity"] = _c_infinity_record(cinf)
+            scale = cinf.value ** k
         measure = functools.partial(_constrained_measure, experiment, k, constraint, l_star)
         medians = []
         for n in n_grid:

@@ -24,7 +24,25 @@ class TestSubcommands:
         data = json.loads((tmp_path / "constants.json").read_text())
         lo, hi = data["c_infinity"]["bracket"]
         assert lo <= data["c_infinity"]["value"] <= hi
+        assert data["c_infinity"]["method"] == "deterministic"
+        assert 0.0 < data["c_infinity"]["error"] < 1e-6
+        mc = data["c_infinity"]["monte_carlo"]
+        assert mc["replicas"] == 5000
+        assert abs(mc["value"] - data["c_infinity"]["value"]) <= 4.0 * mc["se"]
         assert (tmp_path / "c_j.csv").exists()
+
+    def test_gaussian_config(self, tmp_path):
+        cfg = tmp_path / "gaussian.ini"
+        cfg.write_text("[law]\nfamily = gaussian\nchildren = 2\nsd = 0.5\n")
+        assert run(["constants", "--config", str(cfg)], tmp_path / "constants") == 0
+        cinf = json.loads((tmp_path / "constants" / "constants.json").read_text())["c_infinity"]
+        lo, hi = cinf["bracket"]
+        assert lo <= cinf["value"] <= hi
+        assert "monte_carlo" not in cinf
+        assert run(["verify", "band-volume", "--config", str(cfg), "--n-grid", "10000",
+                    "--replicas", "2"], tmp_path / "verify") == 0
+        rep = json.loads((tmp_path / "verify" / "report.json").read_text())
+        assert rep["c_infinity"]["value"] == cinf["value"]
 
     def test_oracle(self, tmp_path):
         assert run(["oracle", "--cases", "15", "--depth-max", "6", "--seed", "3"],

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 
 import gwrange as g
+from gwrange import environment
 from gwrange import rng as rngmod
 from gwrange.environment import (
     TILTED_BLOCK_ROWS,
@@ -14,7 +16,7 @@ from gwrange.environment import (
     is_calibrated,
     rate_delta0,
 )
-from gwrange.errors import CalibrationError, DomainError, ScheduleInfeasibleError
+from gwrange.errors import CalibrationError, DomainError, ScheduleInfeasibleError, SolverError
 from gwrange.quenched import phi
 
 SAMPLING_LAWS = {
@@ -194,6 +196,71 @@ class TestCInfinity:
         assert abs(e1.value - e2.value) <= 3.0 * math.hypot(e1.se, e2.se)
 
 
+def _three_atom_law():
+    """Calibrated generic law with one, two and three children."""
+    c = -math.log((1.0 - 0.2 * math.exp(0.3) - math.exp(-0.9)) / 0.9)
+    return g.generic_law([(0.2, (-0.3,)), (0.5, (0.9, 0.9)), (0.3, (c, c, c))])
+
+
+C_INF_LAWS = {
+    "default": g.default_law(),
+    "two-point": g.two_point_law(q=0.3, a=-0.2, m=4),
+    "three-atom": _three_atom_law(),
+    "gaussian": g.gaussian_law(),
+}
+
+
+class TestDeterministicCInfinity:
+    @pytest.mark.parametrize("name", ["default", "two-point", "three-atom"])
+    def test_matches_monte_carlo(self, name):
+        law = C_INF_LAWS[name]
+        est = g.estimate_c_infinity(law, truncation=200, replicas=200_000,
+                                    rng=rngmod.stream(21, "cinf"))
+        assert abs(g.c_infinity(law).value - est.value) <= 4.0 * est.se
+
+    def test_gaussian_matches_direct_normal_increments(self):
+        law = C_INF_LAWS["gaussian"]
+        sd = law.gauss_sd
+        rng = rngmod.stream(22, "gaussian-cinf")
+        vals = []
+        for _ in range(20):
+            incs = rng.normal(law.gauss_mean - sd * sd, sd, size=(10_000, 200))
+            vals.append(1.0 / (1.0 + np.exp(-np.cumsum(incs, axis=1)).sum(axis=1)))
+        vals = np.concatenate(vals)
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(g.c_infinity(law).value - vals.mean()) <= 4.0 * se
+
+    @pytest.mark.parametrize("name", list(C_INF_LAWS))
+    def test_inside_bracket(self, name):
+        law = C_INF_LAWS[name]
+        got = g.c_infinity(law)
+        assert got.bracket == (1.0 - math.exp(g.log_laplace(law, 2.0)), 1.0)
+        assert got.bracket[0] <= got.value <= got.bracket[1]
+
+    @pytest.mark.parametrize("name", list(C_INF_LAWS))
+    def test_grid_doubling_within_error(self, name, monkeypatch):
+        law = C_INF_LAWS[name]
+        got = g.c_infinity(law)
+        monkeypatch.setattr(environment, "C_INF_GRID", 2 * environment.C_INF_GRID)
+        finer = g.c_infinity(law)
+        assert 0.0 < abs(finer.value - got.value) < got.error
+
+    def test_unconverged_iteration_raises(self, law, monkeypatch):
+        monkeypatch.setattr(environment, "C_INF_MAX_ITER", 3)
+        with pytest.raises(SolverError):
+            g.c_infinity(law)
+
+    def test_infinite_perpetuity_mean_refused(self):
+        law = g.two_point_law(q=0.9, a=-0.1, m=3)
+        assert g.log_laplace(law, 2.0) > 0.0
+        with pytest.raises(DomainError):
+            g.c_infinity(law)
+
+    def test_gaussian_step_law_still_refused(self):
+        with pytest.raises(DomainError):
+            g.many_to_one_step_law(C_INF_LAWS["gaussian"])
+
+
 class TestTiltedBlocks:
     REPLICAS = 2 * TILTED_BLOCK_ROWS + 37
 
@@ -319,3 +386,32 @@ class TestSerialization:
     def test_generic_round_trip(self):
         law = g.generic_law([(0.25, (0.1,)), (0.75, (0.5, 0.9))])
         assert g.law_from_text(g.law_to_text(law)) == law
+
+
+def _calibrated_generic(weights, disps):
+    probs = [w / sum(weights) for w in weights]
+    shift = math.log(sum(p * sum(math.exp(-d) for d in ds) for p, ds in zip(probs, disps)))
+    return g.generic_law([(p, tuple(d + shift for d in ds)) for p, ds in zip(probs, disps)])
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+LAWS = st.one_of(
+    st.builds(g.two_point_law, q=st.floats(0.05, 0.6, **_finite),
+              a=st.floats(-0.3, 0.3, **_finite), m=st.integers(2, 5)),
+    st.integers(1, 3).flatmap(lambda n: st.builds(
+        _calibrated_generic,
+        st.lists(st.floats(0.1, 1.0, **_finite), min_size=n, max_size=n),
+        st.lists(st.lists(st.floats(-1.0, 2.0, **_finite), min_size=1, max_size=3),
+                 min_size=n, max_size=n))),
+    st.builds(g.gaussian_law, children=st.integers(2, 4), sd=st.floats(0.1, 0.6, **_finite)),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(law=LAWS)
+def test_law_text_round_trip_keeps_c_infinity(law):
+    # away from psi(2) = 0 the fixed point converges well inside its sweep cap
+    assume(g.log_laplace(law, 2.0) < -0.2)
+    back = g.law_from_text(g.law_to_text(law))
+    assert back == law
+    assert g.c_infinity(back) == g.c_infinity(law)

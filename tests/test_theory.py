@@ -4,7 +4,7 @@ import pytest
 
 import gwrange as g
 from gwrange import rng as rngmod
-from gwrange import theory
+from gwrange import environment, theory
 from gwrange.errors import DomainError, ScheduleInfeasibleError, SignatureError
 from gwrange.genealogy import IncreasingCollection, Partition
 from gwrange.theory import (
@@ -233,14 +233,22 @@ class TestReports:
         b = g.limit_report(experiment, law, [2000], threads=2, **kw)
         assert a == b
 
-    def test_constrained_ratio_reads_no_c_infinity(self, law, monkeypatch):
+    @pytest.mark.parametrize("experiment", ["band-volume", "constrained-volume",
+                                            "constrained-ratio"])
+    def test_reports_run_no_monte_carlo_c_infinity(self, law, monkeypatch, experiment):
         def refuse(*args, **kwargs):
-            raise AssertionError("constrained-ratio estimated c_inf")
+            raise AssertionError(f"{experiment} ran the Monte Carlo c_inf estimator")
 
-        monkeypatch.setattr(theory, "estimate_c_infinity", refuse)
-        rep = g.limit_report("constrained-ratio", law, [2000], constraint=g.make_f_m(5),
+        monkeypatch.setattr(environment, "estimate_c_infinity", refuse)
+        monkeypatch.setattr(theory, "estimate_c_infinity", refuse, raising=False)
+        rep = g.limit_report(experiment, law, [2000], constraint=g.make_f_m(5),
                              replicas=3, seed=10, l_star=8)
         assert len(rep["grid"]) == 1
+        if experiment == "constrained-ratio":
+            assert "c_infinity" not in rep
+        else:
+            assert rep["c_infinity"]["method"] == "deterministic"
+            assert rep["c_infinity"]["value"] == g.c_infinity(law).value
 
 
 class TestLocalTimeProbe:
