@@ -90,7 +90,6 @@ from .walk import (
     range_slice,
     run_excursions,
     trace_to_csv,
-    transition,
 )
 
 __version__ = "0.1.0"

@@ -206,7 +206,7 @@ def _simulate_measure(k, seed, n, rep, sl):
     """(range_stats.csv row, walk trace) of one replica."""
     s = sl.trace.s
     stat = general_range(sl, k, None, s=s)
-    classes = excursion_class_masses(sl, s) if k == 2 else {}
+    classes = excursion_class_masses(sl) if k == 2 else {}
     row = [n, s, k, "one", rep, sl.size, sl.max_generation,
            repr(stat.value), repr(stat.value / stat.normalization),
            classes.get("distinct", ""), classes.get("same-single", ""),

@@ -29,19 +29,6 @@ class ResourceLimitError(GwrangeError):
     """Expected or actual node count exceeds the configured cap."""
 
 
-class DepthExceededError(GwrangeError):
-    """The walk attempted to step below the tree's truncation frontier.
-
-    ``partial`` holds whatever trace was accumulated before the signal,
-    ``step`` the offending step index.
-    """
-
-    def __init__(self, message, partial=None, step=None):
-        super().__init__(message)
-        self.partial = partial
-        self.step = step
-
-
 class StepBudgetError(GwrangeError):
     """The walk exhausted its step budget before completing s excursions."""
 

@@ -153,7 +153,6 @@ def quenched_mean_quasi_independent(
     k: int,
     f=None,
     warmup: int = None,
-    tuple_cap: int = 5_000_000,
 ) -> float:
     """Exact quenched mean of the distinct-excursion range sum.
 
@@ -173,7 +172,7 @@ def quenched_mean_quasi_independent(
     weight = tree.exp_neg_v[band] / H[band]
     if warmup is not None:
         f = _within_warmup(f, warmup)
-    return math.perm(s, k) * tuple_sum(tree, band, k, f, [weight] * k, tuple_cap)
+    return math.perm(s, k) * tuple_sum(tree, band, k, f, [weight] * k)
 
 
 def _within_warmup(f, warmup: int) -> Constraint:

@@ -202,18 +202,17 @@ def _enumerated(f) -> bool:
     return f is not None and getattr(f, "by_signature", None) is None
 
 
-def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None,
-                        tuple_cap: int = DEFAULT_TUPLE_CAP):
+def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None):
     """Per-tuple reference: (sum, count) over the admissible ordered
     k-tuples xs of ``ids`` of f(tree, xs) * prod_i w_i(xs[i]), streamed in
     the fixed order of :func:`enumerate_delta_k` and summed exactly
     (``math.fsum``), so the sum depends only on the multiset of terms.
     ``weights`` holds one array per slot aligned with ``ids`` (default all
-    ones). Refuses beyond ``tuple_cap`` tuples.
+    ones). Refuses beyond ``DEFAULT_TUPLE_CAP`` tuples, before enumerating any.
     """
-    if math.perm(len(ids), k) > tuple_cap:
+    if math.perm(len(ids), k) > DEFAULT_TUPLE_CAP:
         raise CombinatorialCapError(
-            f"{math.perm(len(ids), k):.3g} ordered tuples exceed cap {tuple_cap}"
+            f"{math.perm(len(ids), k):.3g} ordered tuples exceed cap {DEFAULT_TUPLE_CAP}"
         )
     ids = [int(v) for v in ids]
     if weights is not None:
@@ -236,18 +235,17 @@ def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None,
     return total, count
 
 
-def tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None,
-              tuple_cap: int = DEFAULT_TUPLE_CAP) -> float:
+def tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None) -> float:
     """Sum over the admissible ordered k-tuples xs of ``ids`` of
     f(tree, xs) * prod_i w_i(xs[i]), weights aligned with ``ids``.
 
     ``f`` None (every tuple counts one) or a constraint with a signature
     form is summed signature by signature on the ancestor forest of
     ``ids``, with no size cap; any other callable goes through
-    :func:`reference_tuple_sum` under ``tuple_cap``.
+    :func:`reference_tuple_sum` under its cap.
     """
     if _enumerated(f):
-        return reference_tuple_sum(tree, ids, k, f, weights, tuple_cap)[0]
+        return reference_tuple_sum(tree, ids, k, f, weights)[0]
     forest = AncestorForest.of_vertices(tree, ids)
     sub = _slot_sums(forest, k, weights)
     value = getattr(f, "by_signature", None)
@@ -277,7 +275,6 @@ def general_range(
     k: int,
     f=None,
     s: int = None,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> RangeStat:
     """Band tuple sum of f over admissible ordered k-tuples.
 
@@ -293,30 +290,29 @@ def general_range(
     name = "one" if f is None else getattr(f, "name", "custom")
     tree, ids = slice_.tree, slice_.ids
     if _enumerated(f):
-        total, count = reference_tuple_sum(tree, ids, k, f, tuple_cap=tuple_cap)
+        total, count = reference_tuple_sum(tree, ids, k, f)
         return RangeStat(total, count, norm, name, k)
     count = tuple_sum(tree, ids, k)
     total = count if f is None else tuple_sum(tree, ids, k, f)
     return RangeStat(total, int(count), norm, name, k)
 
 
-def classify_tuple_excursions(trace: WalkTrace, xs, s: int = None) -> str:
+def classify_tuple_excursions(trace: WalkTrace, xs) -> str:
     """Excursion class of a tuple: ``distinct`` when the slots admit
     pairwise different visiting excursions, ``same-single`` when all slots
     were visited only in one common excursion, ``mixed`` otherwise.
 
     Vertices visited in several excursions are handled through their full
-    entry-excursion sets (the slower general path).
+    entry-excursion sets. This is the per-tuple oracle of
+    :func:`excursion_class_masses`, and the classifier for k >= 3.
     """
-    if s is None:
-        s = trace.s
     sets = []
     for x in xs:
         if not trace.was_visited(x):
             return CLASS_UNVISITED
         i = trace.index_of(x)
         entries = trace.entry_excursions[i]
-        entries = entries[entries <= s]
+        entries = entries[entries <= trace.s]
         if len(entries) == 0:
             return CLASS_UNVISITED
         sets.append(entries)
@@ -361,58 +357,37 @@ def _has_distinct_assignment(sets) -> bool:
     return rec(0)
 
 
-def excursion_class_masses(slice_: RangeSlice, s: int = None) -> dict:
-    """Vectorized ordered-pair class masses over the band (k = 2).
+def excursion_class_masses(slice_: RangeSlice) -> dict:
+    """Ordered-pair class masses over the band (k = 2), from counts.
 
-    Returns counts for each class among admissible pairs, plus the total.
+    ``total`` is the number of admissible pairs (:func:`delta_k_count`).
+    With c_e the number of single-excursion band vertices whose one
+    excursion is e, and A the number of (ancestor, descendant) pairs among
+    them,
+
+        same-single = sum_e c_e (c_e - 1) - 2 A,
+
+    because a vertex entered only in excursion e has every ancestor
+    entered in e, so each such pair shares its label. ``mixed`` is empty
+    for pairs: two nonempty entry sets admit distinct representatives
+    unless both are the same singleton. ``distinct`` is the rest.
     """
-    trace, tree = slice_.trace, slice_.tree
-    if s is None:
-        s = trace.s
-    ids = slice_.ids
-    n = len(ids)
-    if n < 2:
-        return {
-            CLASS_DISTINCT: 0,
-            CLASS_SAME_SINGLE: 0,
-            CLASS_MIXED: 0,
-            "total": 0,
-        }
-    anc = tree.ancestor_matrix(ids)
-    gens = slice_.gens
-    # ancestor mask: [i, j] true when vertex i is a strict ancestor of j
-    cols = anc[:, gens].T  # [i, j] = ancestor of j at generation of i
-    anc_mask = cols == ids[:, None]
-    np.fill_diagonal(anc_mask, False)
-    admissible = ~(anc_mask | anc_mask.T)
-    np.fill_diagonal(admissible, False)
-
     single = slice_.excursion_counts() == 1
-    firsts = slice_.first_excursions()
-    same_first = firsts[:, None] == firsts[None, :]
-    both_single = single[:, None] & single[None, :]
-
-    distinct_mask = admissible & both_single & ~same_first
-    same_single_mask = admissible & both_single & same_first
-    leftover = admissible & ~both_single
-    # pairs with a multi-excursion vertex: resolve the few of them exactly
-    n_dist = int(distinct_mask.sum())
-    n_same = int(same_single_mask.sum())
-    n_mixed = 0
-    li, lj = np.nonzero(leftover)
-    for a, b in zip(li, lj):
-        cls = classify_tuple_excursions(trace, (int(ids[a]), int(ids[b])), s)
-        if cls == CLASS_DISTINCT:
-            n_dist += 1
-        elif cls == CLASS_SAME_SINGLE:
-            n_same += 1
-        else:
-            n_mixed += 1
-    total = int(admissible.sum())
+    ids = slice_.ids[single]  # ascending
+    _, per_label = np.unique(slice_.first_excursions()[single], return_counts=True)
+    ancestral = 0
+    cur = ids
+    while len(cur):
+        cur = slice_.tree.parent[cur]
+        cur = cur[(cur >= 0) & (slice_.tree.gen[cur] >= slice_.lower)]
+        pos = np.minimum(np.searchsorted(ids, cur), len(ids) - 1)
+        ancestral += int(np.count_nonzero(ids[pos] == cur))
+    same = int((per_label * (per_label - 1)).sum()) - 2 * ancestral
+    total = delta_k_count(slice_, 2)
     return {
-        CLASS_DISTINCT: n_dist,
-        CLASS_SAME_SINGLE: n_same,
-        CLASS_MIXED: n_mixed,
+        CLASS_DISTINCT: total - same,
+        CLASS_SAME_SINGLE: same,
+        CLASS_MIXED: 0,
         "total": total,
     }
 
@@ -450,49 +425,12 @@ def quasi_independent_range(slice_: RangeSlice, jvec, g=None) -> float:
     return reference_tuple_sum(tree, ids, k, f)[0]
 
 
-def sum_quasi_independent(slice_: RangeSlice, k: int, g=None, warmup: int = None) -> float:
-    """Sum of the quasi-independent range over all distinct excursion
-    k-tuples, computed per tuple through the count of injective
-    excursion assignments (a small permanent)."""
-    trace = slice_.trace
-    sets = {
-        int(v): [int(e) for e in trace.entry_excursions[row]]
-        for row, v in zip(slice_.rows, slice_.ids)
-    }
-
-    def f(tree, xs):
-        if warmup is not None and first_full_split(tree, xs) > warmup:
-            return 0.0
-        val = 1.0 if g is None else float(g(tree, xs))
-        return val * _injective_assignments([sets[x] for x in xs]) if val else 0.0
-
-    return reference_tuple_sum(slice_.tree, slice_.ids, k, f)[0]
-
-
-def _injective_assignments(sets) -> int:
-    """Number of ways to pick pairwise distinct representatives."""
-    count = 0
-
-    def rec(pos, used):
-        nonlocal count
-        if pos == len(sets):
-            count += 1
-            return
-        for j in sets[pos]:
-            if j not in used:
-                rec(pos + 1, used | {j})
-
-    rec(0, frozenset())
-    return count
-
-
 def weighted_range_A_l(
     tree: MarkedTree,
     k: int,
     level: int,
     f=None,
     beta=None,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> float:
     """Potential-weighted tuple sum over one generation:
     sum over ordered distinct k-tuples at ``level`` of f(x) * exp(-<beta, V(x)>).
@@ -509,7 +447,7 @@ def weighted_range_A_l(
     ids = tree.generation_ids(level)
     env = np.exp(-tree.V[ids])
     powered = {b: env**b for b in set(beta)}
-    return tuple_sum(tree, ids, k, f, [powered[b] for b in beta], tuple_cap)
+    return tuple_sum(tree, ids, k, f, [powered[b] for b in beta])
 
 
 def sample_uniform_tuple(

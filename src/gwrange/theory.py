@@ -298,7 +298,7 @@ def _band_measure(with_classes, tuples_per_run, seed, n, rep, sl) -> BandRun:
         martingale_depth=additive_martingale(tree, tree.depth),
         band_count=sl.size,
         max_generation=sl.max_generation,
-        class_masses=excursion_class_masses(sl, sl.trace.s) if with_classes else None,
+        class_masses=excursion_class_masses(sl) if with_classes else None,
         split_samples=splits,
         multi_visit_fraction=float((sl.excursion_counts() >= 2).mean()) if sl.size else None,
     )

@@ -361,32 +361,36 @@ def tree_from_parents(parents, disps, law=None) -> MarkedTree:
     size = len(parent)
     if size == 0 or parent[0] != PARENT_OF_ROOT:
         raise ValueError("first node must be the root with parent -1")
+    up = parent[1:]
+    if np.any((up < 0) | (up >= np.arange(1, size))):
+        raise ValueError("nodes must be listed in generation order")
+    # every parent precedes its child, so after t passes both arrays are
+    # final on generations <= t; the pass that leaves gen unchanged is the
+    # last one needed
     gen = np.zeros(size, dtype=np.int32)
     V = np.zeros(size)
-    for i in range(1, size):
-        p = parent[i]
-        if p < 0 or p >= i:
-            raise ValueError("nodes must be listed in generation order")
-        gen[i] = gen[p] + 1
-        V[i] = V[p] + disp[i]
+    while True:
+        V[1:] = V[up] + disp[1:]
+        nxt = gen[up] + 1
+        if np.array_equal(nxt, gen[1:]):
+            break
+        gen[1:] = nxt
     depth = int(gen.max())
     order_ok = bool(np.all(np.diff(gen) >= 0))
     if not order_ok:
         raise ValueError("nodes must be sorted by generation")
-    n_children = np.bincount(parent[1:], minlength=size).astype(np.int32)
+    n_children = np.bincount(up, minlength=size).astype(np.int32)
     # As in generate: the children of an interior vertex (childless or not)
     # start after the root and the children of every interior vertex before it.
     n_int = int(np.searchsorted(gen, depth))
     first_child = np.full(size, -1, dtype=np.int64)
     first_child[:n_int] = np.cumsum(n_children[:n_int]) - n_children[:n_int] + 1
     kid = np.arange(1, size)
-    start = first_child[parent[1:]]
-    if not np.all((start <= kid) & (kid < start + n_children[parent[1:]])):
+    start = first_child[up]
+    if not np.all((start <= kid) & (kid < start + n_children[up])):
         raise ValueError("children of one parent must be contiguous, in parent order")
-    offsets = [0]
-    for g in range(depth + 1):
-        offsets.append(offsets[-1] + int((gen == g).sum()))
-    halo = np.zeros(int((gen == depth).sum()))
+    counts = np.bincount(gen)
+    halo = np.zeros(int(counts[depth]))
     return MarkedTree(
         parent=parent,
         gen=gen,
@@ -394,7 +398,7 @@ def tree_from_parents(parents, disps, law=None) -> MarkedTree:
         V=V,
         first_child=first_child,
         n_children=n_children,
-        gen_offsets=np.array(offsets, dtype=np.int64),
+        gen_offsets=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
         depth=depth,
         halo_weight=halo,
         law=law,

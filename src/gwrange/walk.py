@@ -9,7 +9,7 @@ reflecting vertex).
 Truncation frontier. In the recurrent regimes this package targets, a step
 below the deepest materialized generation enters a subtree from which the
 walk returns to the entry vertex with probability one (the only way back
-up is through it) without touching anything materialized. The default policy
+up is through it) without touching anything materialized. The walk
 therefore collapses such a sub-excursion into a single recorded return
 visit to the entry vertex, drawn with the exact quenched down-weight of
 its unmaterialized children. Every statistic supported here (visited sets,
@@ -20,8 +20,12 @@ the wall-clock step count of the collapsed sub-excursions is unobservable:
 reports how many collapses occurred, so ``steps`` is an exact lower bound
 on the true elapsed time and exact whenever ``dives == 0``.
 
-The alternative policy ``error`` raises on the first frontier step with
-the partial trace attached.
+:func:`run_excursions` is the one implementation of the kernel. Its
+one-step law shows in the trace counts: from an interior vertex u, the
+moves to a child c number ``edge_local_time[c]`` and the moves up number
+``local_time[u]`` minus their sum; at the frontier, the moves up number
+``edge_local_time[u]`` (the walk leaves upward once per entry from the
+parent) and the rest of ``local_time[u]`` are returns from collapsed dives.
 
 A single walk is strictly sequential; finalized traces are immutable and
 shareable, and (tree, walk) replicas run embarrassingly parallel on
@@ -35,13 +39,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DepthExceededError, QueryError, StepBudgetError
+from .errors import QueryError, StepBudgetError
 from .tree import MarkedTree
 
 __all__ = [
     "WalkTrace",
     "RangeSlice",
-    "transition",
     "run_excursions",
     "excursion_stats",
     "range_slice",
@@ -85,40 +88,10 @@ class WalkTrace:
         return int(u) in self._index
 
 
-def transition(tree: MarkedTree, u: int, rng: np.random.Generator) -> int:
-    """One step of the quenched kernel from u; -1 denotes the reflecting vertex.
-
-    Raises DepthExceededError when the sampled move would leave the
-    materialized tree at the truncation frontier.
-    """
-    if u == REFLECTOR:
-        return 0
-    w_up = tree.exp_neg_v[u]
-    if tree.is_frontier(u):
-        w_down = tree.frontier_down_weight(u)
-        if rng.random() * (w_up + w_down) < w_up:
-            return int(tree.parent[u])
-        raise DepthExceededError(f"step below the frontier from {u}")
-    kids = tree.children(u)
-    w_kids = tree.exp_neg_v[kids]
-    total = w_up + w_kids.sum()
-    r = rng.random() * total
-    if r < w_up:
-        return int(tree.parent[u])
-    r -= w_up
-    acc = 0.0
-    for j in range(len(kids)):
-        acc += w_kids[j]
-        if r < acc:
-            return int(kids[j])
-    return int(kids[-1])
-
-
 def run_excursions(
     tree: MarkedTree,
     s: int,
     rng: np.random.Generator,
-    policy: str = "collapse",
     step_budget: int = None,
 ) -> WalkTrace:
     """Simulate until the s-th return to the reflecting vertex.
@@ -128,8 +101,6 @@ def run_excursions(
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if policy not in ("collapse", "error"):
-        raise ValueError(f"unknown policy {policy!r}")
     if step_budget is None:
         step_budget = 50 * s * s
     parent = tree.parent
@@ -170,13 +141,6 @@ def run_excursions(
                     v = int(parent[u])
                     from_parent = False
                 else:
-                    if policy == "error":
-                        raise DepthExceededError(
-                            f"step below the frontier from {u}",
-                            partial=_finalize(records, entry_lists, tree, exc - 1,
-                                              steps, dives, return_steps, False),
-                            step=steps + 1,
-                        )
                     # collapsed sub-excursion: return visit to u, two steps
                     steps += 2
                     dives += 1

@@ -116,8 +116,8 @@ class TestQuenchedMeanQuasiIndependent:
     def test_matches_monte_carlo(self, law):
         # small instance: fixed tree, many walks; the identity is exact in
         # the quenched law, so the empirical mean must match within 4 SE
-        from gwrange.rangestats import sum_quasi_independent
         from gwrange.walk import range_slice, run_excursions
+        from quasi_independent_oracle import sum_quasi_independent
 
         tree = g.generate(law, 7, seed=404)
         lo, hi, s = 2, 4, 6

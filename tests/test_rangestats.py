@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from gwrange.rangestats import (
     CLASS_DISTINCT,
     CLASS_MIXED,
     CLASS_SAME_SINGLE,
-    sum_quasi_independent,
+    DEFAULT_TUPLE_CAP,
 )
+from gwrange.theory import desk_band
 from gwrange.walk import range_slice, run_excursions
+from quasi_independent_oracle import sum_quasi_independent
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +67,21 @@ class TestGeneralRange:
         stat = g.general_range(sl, 2)
         assert stat.value == count
 
-    def test_cap_refusal(self, walked):
-        # only per-tuple enumeration (plain callables) has a size cap
-        tree, trace = walked
-        sl = range_slice(trace, tree, 2, 7)
+    def test_cap_refusal(self, law):
+        # only per-tuple enumeration (plain callables) has a size cap, and it
+        # refuses before the first tuple: the n = 1e4 band of seed 1, replica 0
+        n = 10_000
+        lower, upper = desk_band(law, n)
+        tree = g.generate(law, upper, rng=rngmod.stream(1, f"tree/{n}", 0))
+        trace = run_excursions(tree, 100, rngmod.stream(1, f"walk/{n}", 0))
+        sl = range_slice(trace, tree, lower, upper)
+        assert math.perm(sl.size, 3) > DEFAULT_TUPLE_CAP
+
+        def never_called(t, xs):
+            raise AssertionError("a tuple was enumerated")
+
         with pytest.raises(CombinatorialCapError):
-            g.general_range(sl, 3, lambda t, xs: 1.0, tuple_cap=10)
+            g.general_range(sl, 3, never_called)
 
     def test_hereditary_factorization(self, walked):
         # restricting a hereditary constraint to tuples fully split by m and
@@ -148,16 +160,43 @@ class TestClassification:
             == masses["total"]
         )
         assert masses["total"] == g.delta_k_count(sl, 2)
+        # two nonempty entry sets always admit distinct representatives
+        # unless both are the same singleton
+        assert masses[CLASS_MIXED] == 0
 
     def test_masses_match_streamed_classifier(self, walked):
         tree, trace = walked
-        sl = range_slice(trace, tree, 4, 6)
-        masses = g.excursion_class_masses(sl)
-        counted = {CLASS_DISTINCT: 0, CLASS_SAME_SINGLE: 0, CLASS_MIXED: 0}
-        for tup in g.enumerate_delta_k(tree, sl.ids, 2):
-            counted[g.classify_tuple_excursions(trace, tup)] += 1
-        for key in counted:
-            assert counted[key] == masses[key], key
+        # in [2, 5], multi-excursion vertices sit above single-excursion ones
+        multi = set(trace.ids[trace.excursion_count > 1].tolist())
+        assert any(g.is_ancestor(tree, a, int(x))
+                   for x in trace.ids[(trace.excursion_count == 1) & (trace.gens <= 5)]
+                   for a in multi if 2 <= tree.gen[a] < tree.gen[x])
+        for lower, upper in ((4, 6), (2, 5)):
+            sl = range_slice(trace, tree, lower, upper)
+            masses = g.excursion_class_masses(sl)
+            counted = {CLASS_DISTINCT: 0, CLASS_SAME_SINGLE: 0, CLASS_MIXED: 0}
+            for tup in g.enumerate_delta_k(tree, sl.ids, 2):
+                counted[g.classify_tuple_excursions(trace, tup)] += 1
+            for key in counted:
+                assert counted[key] == masses[key], (lower, key)
+            assert masses["total"] == sum(counted.values())
+
+    def test_masses_memory_stays_small(self, law):
+        # 434 band vertices, 90 of them visited in several excursions: no
+        # n x n array and no per-pair loop
+        tree = g.generate(law, 10, seed=5)
+        trace = run_excursions(tree, 400, rngmod.stream(5, "w"))
+        sl = range_slice(trace, tree, 5, 10)
+        assert (sl.size, int((sl.excursion_counts() > 1).sum())) == (434, 90)
+        want = g.excursion_class_masses(sl)  # the first np.unique imports numpy.ma
+        tracemalloc.start()
+        try:
+            masses = g.excursion_class_masses(sl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masses == want and masses["total"] > 0
+        assert peak < 1_000_000, peak
 
 
 class TestQuasiIndependent:

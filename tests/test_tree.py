@@ -10,6 +10,7 @@ from gwrange import rng as rngmod
 from gwrange import tree as treemod
 from gwrange.errors import AncestryError, QueryError, ResourceLimitError
 from gwrange.tree import VirtualLeaf, conductance_levels
+from test_walk import WALK_DIGESTS
 
 
 class TestGeneration:
@@ -318,6 +319,14 @@ class TestSnapshot:
         assert np.array_equal(back.parent, tree.parent)
         assert np.allclose(back.V, tree.V)
         assert back.law == law
+        # the trees of the pinned walk traces, every array bitwise
+        for name, (make_law, depth, seed, _) in sorted(WALK_DIGESTS.items()):
+            tree = g.generate(make_law(), depth, seed=seed)
+            g.save_snapshot(tree, path)
+            back = g.load_snapshot(path)
+            for arr in TREE_ARRAYS:
+                assert np.array_equal(getattr(back, arr), getattr(tree, arr)), (name, arr)
+                assert getattr(back, arr).dtype == getattr(tree, arr).dtype, (name, arr)
 
     def test_round_trip_extinguishing_law(self, tmp_path):
         # childless interior vertices keep the first-child position of generate

@@ -6,49 +6,74 @@ import pytest
 
 import gwrange as g
 from gwrange import rng as rngmod
-from gwrange.errors import DepthExceededError, QueryError, StepBudgetError
+from gwrange.errors import QueryError, StepBudgetError
 from gwrange.theory import map_replicas
-from gwrange.walk import REFLECTOR
+
+
+def _assert_multinomial(counts, visits, probs):
+    """Moves out of a vertex over its visits are multinomial given the
+    visit count: each target's count within 4 SE of its share."""
+    for count, p in zip(counts, probs):
+        se = math.sqrt(visits * p * (1 - p))
+        assert abs(count - visits * p) <= 4 * se, (count, visits, p)
 
 
 class TestTransition:
-    def test_reflector_always_enters_root(self, small_tree, rng):
-        for _ in range(5):
-            assert g.transition(small_tree, REFLECTOR, rng) == 0
+    """The one-step kernel, read off the trace counts of run_excursions."""
 
-    def test_single_child_kernel(self, law, rng):
+    def test_reflector_always_enters_root(self, small_tree):
+        s = 50
+        trace = g.run_excursions(small_tree, s, rngmod.stream(14, "w"))
+        i0 = trace.index_of(0)
+        kids = small_tree.children(0)
+        into_kids = sum(int(trace.edge_local_time[trace.index_of(c)])
+                        for c in kids if trace.was_visited(c))
+        # every excursion starts with a step from the reflector into the root
+        # and ends with the root's one step up
+        assert trace.edge_local_time[i0] == s
+        assert trace.local_time[i0] - into_kids == s
+
+    def test_single_child_kernel(self):
         # explicit chain: root -> child, V(child) = v
         t = g.tree_from_parents([-1, 0, 1], [0.0, 0.4, 0.2])
-        v = t.V[1]
-        p_child = math.exp(-v) / (1.0 + math.exp(-v))
-        draws = 100_000
-        hits = sum(1 for _ in range(draws) if g.transition(t, 0, rng) == 1)
-        se = math.sqrt(p_child * (1 - p_child) / draws)
-        assert abs(hits / draws - p_child) <= 4 * se
+        p_child = math.exp(-t.V[1]) / (1.0 + math.exp(-t.V[1]))
+        trace = g.run_excursions(t, 40_000, rngmod.stream(15, "w"))
+        visits = int(trace.local_time[trace.index_of(0)])
+        down = int(trace.edge_local_time[trace.index_of(1)])
+        _assert_multinomial([down, visits - down], visits, [p_child, 1 - p_child])
 
-    def test_multinomial_kernel_at_fixed_vertex(self, small_tree, rng):
-        t = small_tree
-        u = next(x for x in range(t.size) if t.n_children[x] == 3 and t.gen[x] < 5)
-        kids = list(t.children(u))
-        weights = [t.exp_neg_v[u]] + [t.exp_neg_v[c] for c in kids]
-        total = sum(weights)
-        draws = 100_000
-        counts = {int(t.parent[u]): 0, **{int(c): 0 for c in kids}}
-        for _ in range(draws):
-            counts[g.transition(t, u, rng)] += 1
-        targets = [int(t.parent[u])] + [int(c) for c in kids]
-        for tgt, w in zip(targets, weights):
-            p = w / total
-            se = math.sqrt(p * (1 - p) / draws)
-            assert abs(counts[tgt] / draws - p) <= 4 * se
+    def test_multinomial_kernel_at_fixed_vertex(self, law):
+        t = g.generate(law, 6, seed=11)
+        trace = g.run_excursions(t, 4000, rngmod.stream(16, "w"))
+        rows = [i for i, u in enumerate(trace.ids)
+                if t.n_children[u] == 3 and t.gen[u] < t.depth]
+        row = max(rows, key=lambda i: trace.local_time[i])
+        u = int(trace.ids[row])
+        kids = [int(c) for c in t.children(u)]
+        into = [int(trace.edge_local_time[trace.index_of(c)]) if trace.was_visited(c) else 0
+                for c in kids]
+        visits = int(trace.local_time[row])
+        assert visits > 5000
+        weights = np.exp(-t.V[[u] + kids])
+        _assert_multinomial([visits - sum(into)] + into, visits, weights / weights.sum())
 
-    def test_frontier_dive_raises(self, law):
-        t = g.generate(law, 2, seed=3)
-        x = int(t.generation_ids(2)[0])
-        rng = rngmod.stream(0, "t")
-        with pytest.raises(DepthExceededError):
-            for _ in range(500):
-                g.transition(t, x, rng)
+    def test_frontier_collapse_kernel(self, law):
+        t = g.generate(law, 4, seed=12)
+        trace = g.run_excursions(t, 2000, rngmod.stream(17, "w"))
+        rows = np.nonzero(trace.gens == t.depth)[0]
+        local = trace.local_time[rows]
+        edge = trace.edge_local_time[rows]
+        # each entry from the parent ends in one step up; every other visit
+        # to a frontier vertex is the return from a collapsed dive
+        assert int((local - edge).sum()) == trace.dives > 0
+        row = rows[np.argmax(local)]
+        u = int(trace.ids[row])
+        w_up = math.exp(-t.V[u])
+        p_up = w_up / (w_up + t.frontier_down_weight(u))
+        visits = int(trace.local_time[row])
+        up = int(trace.edge_local_time[row])
+        assert visits > 1000
+        _assert_multinomial([up, visits - up], visits, [p_up, 1 - p_up])
 
 
 class TestRunExcursions:
@@ -87,21 +112,14 @@ class TestRunExcursions:
         assert np.array_equal(a.local_time, b.local_time)
         assert np.array_equal(a.first_hit_step, b.first_hit_step)
 
-    def test_error_policy_carries_partial(self, law):
-        tree = g.generate(law, 3, seed=9)
-        with pytest.raises(DepthExceededError) as err:
-            g.run_excursions(tree, 500, rngmod.stream(7, "w"), policy="error")
-        assert err.value.partial is not None
-        assert err.value.step is not None
-
     def test_step_budget(self, medium_tree):
         with pytest.raises(StepBudgetError) as err:
             g.run_excursions(medium_tree, 10_000, rngmod.stream(8, "w"), step_budget=50)
         assert err.value.partial is not None
 
     def test_simulate_collapse_policy(self, law):
-        # the replica driver walks ceil(sqrt(n)) excursions under the default
-        # (collapse) policy on a tree truncated at the band's upper edge
+        # the replica driver walks ceil(sqrt(n)) excursions, collapsing dives
+        # below a tree truncated at the band's upper edge
         def measure(seed, n, rep, sl):
             return sl.trace.complete, sl.trace.s, sl.tree.depth
 
