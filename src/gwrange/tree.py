@@ -172,8 +172,12 @@ def generate(
 
     Either ``rng`` or ``seed`` must be given. Generation g (1 <= g <= depth)
     is one :meth:`EnvironmentLaw.sample_generation` call for all vertices
-    of generation g-1, and the frontier child weights one more call at
-    g = depth+1. With a seed, that call draws from the counter-based stream
+    of generation g-1. The frontier child weights are generation depth+1,
+    drawn by :meth:`EnvironmentLaw.child_weights` in blocks of
+    ``FRONTIER_BLOCK`` frontier vertices: each block is reduced to one
+    weight per parent with no per-child array, and the blocks consume the
+    stream as one ``sample_generation`` call for the whole frontier would.
+    With a seed, each generation draws from the counter-based stream
     ``rng.stream(seed, f"tree/{attempt}", g)``, so deepening the truncation
     extends the same realization and the frontier weights at one depth sum
     the next generation of a deeper tree. With ``rng``, the calls draw from
@@ -252,14 +256,7 @@ def _generate_once(law, depth, rng, seed, attempt, node_cap):
     r = _level_rng(rng, seed, attempt, depth + 1)
     halo = np.empty(len(level_v))
     for lo in range(0, len(level_v), FRONTIER_BLOCK):
-        block_v = level_v[lo : lo + FRONTIER_BLOCK]
-        counts, weight = law.sample_generation(r, len(block_v))
-        rows = np.repeat(np.arange(len(block_v)), counts)
-        weight += block_v[rows]
-        np.negative(weight, out=weight)
-        np.exp(weight, out=weight)
-        halo[lo : lo + len(block_v)] = np.bincount(rows, weights=weight, minlength=len(block_v))
-    del counts, rows, weight
+        halo[lo : lo + FRONTIER_BLOCK] = law.child_weights(r, level_v[lo : lo + FRONTIER_BLOCK])
 
     size = len(parent)
     n_int = len(interior)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -81,6 +82,84 @@ class TestSampleGeneration:
         assert counts.shape == disp.shape == (0,)
         assert (counts.dtype.str, disp.dtype.str) == ("<i8", "<f8")
         assert rng.random() == np.random.default_rng(1).random()
+
+
+def _child_by_child_weights(law, rng, v):
+    """The frontier reduction ``child_weights`` replaced: one weight per drawn
+    child, summed per parent by ``np.bincount``."""
+    counts, weight = law.sample_generation(rng, len(v))
+    rows = np.repeat(np.arange(len(v)), counts)
+    weight += v[rows]
+    np.negative(weight, out=weight)
+    np.exp(weight, out=weight)
+    return np.bincount(rows, weights=weight, minlength=len(v))
+
+
+# Unnormalized atom masses: exact zeros, masses near 1e-12 and ordinary ones.
+MASSES = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-13, 1e-11), st.floats(0.01, 1.0)),
+    min_size=1, max_size=8,
+).filter(lambda w: sum(w) > 0.0)
+SIZES = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(0, 500).map(lambda n: 2 * n + 1),
+    st.tuples(st.integers(0, 6), st.integers(0, 40)),
+)
+
+
+class TestAtomIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(masses=MASSES, size=SIZES, seed=st.integers(0, 2**32 - 1))
+    def test_equals_generator_choice(self, masses, size, seed):
+        probs = np.array(masses) / sum(masses)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = environment._atom_index(got_rng, probs, size)
+        want = want_rng.choice(len(probs), size=size, p=probs)
+        assert got.shape == want.shape and np.iinfo(got.dtype).max >= len(probs) - 1
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
+
+
+class TestChildWeights:
+    @pytest.mark.parametrize("name", sorted(SAMPLING_LAWS))
+    def test_bitwise_equal_to_child_by_child_sum(self, name):
+        law = SAMPLING_LAWS[name]
+        v = np.random.default_rng(3).normal(0.0, 2.0, 5000)
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = law.child_weights(got_rng, v)
+        want = _child_by_child_weights(law, want_rng, v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    def test_childless_atom_weighs_zero(self):
+        law = SAMPLING_LAWS["extinct"]
+        counts, _ = law.sample_generation(np.random.default_rng(7), 5000)
+        weights = law.child_weights(np.random.default_rng(7), np.zeros(5000))
+        assert counts.min() == 0
+        assert np.array_equal(weights == 0.0, counts == 0)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLING_LAWS))
+    def test_no_parents(self, name):
+        law = SAMPLING_LAWS[name]
+        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+        weights = law.child_weights(rng, np.zeros(0))
+        law.sample_generation(ref, 0)
+        assert weights.shape == (0,) and weights.dtype.str == "<f8"
+        assert rng.random() == ref.random()
+
+
+class TestAtomMasses:
+    @pytest.mark.parametrize("atoms", [
+        [(math.nan, (0.1,)), (1.0, (0.2,))],
+        [(-0.5, (0.1,)), (1.5, (0.2,))],
+        [(math.inf, (0.1,)), (1.0, (0.2,))],
+    ], ids=["nan", "negative", "inf"])
+    def test_refused_when_built(self, atoms):
+        with pytest.raises(CalibrationError):
+            g.generic_law(atoms)
+        text = f'family = "generic"\natoms = {json.dumps([[p, list(d)] for p, d in atoms])}\n'
+        with pytest.raises(CalibrationError):
+            g.law_from_text(text)
 
 
 class TestKappa:
