@@ -34,7 +34,6 @@ from .genealogy import (
     enumerate_increasing_collections,
     first_full_split,
     genealogy_indicator,
-    hereditary_check,
     make_F_ell_s,
     make_f_lambda,
     make_f_m,
@@ -54,7 +53,6 @@ from .rangestats import (
     delta_k_count,
     excursion_class_masses,
     general_range,
-    quasi_independent_range,
     sample_uniform_tuple,
     weighted_range_A_l,
 )

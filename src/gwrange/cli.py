@@ -205,7 +205,7 @@ def _cmd_constants(args, cp, law, outdir):
 def _simulate_measure(k, seed, n, rep, sl):
     """(range_stats.csv row, walk trace) of one replica."""
     s = sl.trace.s
-    stat = general_range(sl, k, None, s=s)
+    stat = general_range(sl, k, None)
     classes = excursion_class_masses(sl) if k == 2 else {}
     row = [n, s, k, "one", rep, sl.size, sl.max_generation,
            repr(stat.value), repr(stat.value / stat.normalization),

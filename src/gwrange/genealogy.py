@@ -22,8 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SignatureError, TupleError
 from .tree import MarkedTree, ancestor_at, is_ancestor, mrca_generation
 
@@ -40,7 +38,6 @@ __all__ = [
     "enumerate_increasing_collections",
     "pairwise_split_requirements",
     "enumerate_partitions",
-    "hereditary_check",
     "Constraint",
     "make_f_lambda",
     "make_f_m",
@@ -431,35 +428,23 @@ def pairwise_split_requirements(svec, coll: IncreasingCollection) -> dict:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Named tuple functional with its heredity generation.
+    """Named tuple functional of the genealogical signature, with its
+    heredity generation.
 
-    ``by_signature(times, coll)``, when set, gives the value as a function
-    of the tuple's genealogical signature alone; tuple sums then split over
-    signatures instead of enumerating tuples.
+    A tuple's value is ``by_signature(times, coll)`` of its signature, so
+    tuple sums split over signatures instead of enumerating tuples.
+    ``by_signature`` is a module-level function, or one bound by
+    functools.partial, so the constraint pickles and can be sent to worker
+    processes.
     """
 
     name: str
-    fn: object
+    by_signature: object
     heredity_generation: float
-    by_signature: object = None
 
     def __call__(self, tree, xs):
-        return self.fn(tree, xs)
-
-
-def _read_signature(value, tree, xs):
-    sig = coalescent_times(tree, xs)
-    return value(sig.times, sig.collection)
-
-
-def _signature_constraint(name, value, heredity) -> Constraint:
-    """Constraint whose per-tuple value is read off the tuple's signature.
-
-    ``value`` is a module-level function, or one bound by functools.partial,
-    so the constraint pickles and can be sent to worker processes.
-    """
-    return Constraint(name=name, fn=functools.partial(_read_signature, value),
-                      heredity_generation=heredity, by_signature=value)
+        sig = coalescent_times(tree, xs)
+        return self.by_signature(sig.times, sig.collection)
 
 
 def _one_value(times, coll):
@@ -481,7 +466,7 @@ def _F_value(svec, times, coll):
 
 
 def constant_one(k: int = None) -> Constraint:
-    return _signature_constraint("one", _one_value, 1)
+    return Constraint("one", _one_value, 1)
 
 
 def make_f_lambda(lams) -> Constraint:
@@ -493,13 +478,12 @@ def make_f_lambda(lams) -> Constraint:
     lams = tuple(lams)
     finite = [l for l in lams if math.isfinite(l)]
     heredity = max(finite) if finite else 1
-    return _signature_constraint(f"f_lambda{lams}", functools.partial(_f_lambda_value, lams),
-                                 heredity)
+    return Constraint(f"f_lambda{lams}", functools.partial(_f_lambda_value, lams), heredity)
 
 
 def make_f_m(m: int) -> Constraint:
     """Indicator of a full split by generation m (the last split time)."""
-    return _signature_constraint(f"f_m{m}", functools.partial(_f_m_value, m), m)
+    return Constraint(f"f_m{m}", functools.partial(_f_m_value, m), m)
 
 
 def make_F_ell_s(ell: int, svec, k: int) -> Constraint:
@@ -508,55 +492,5 @@ def make_F_ell_s(ell: int, svec, k: int) -> Constraint:
     svec = tuple(svec)
     if len(svec) != ell:
         raise SignatureError("need one split time per refinement step")
-    return _signature_constraint(f"F_{ell}_{svec}", functools.partial(_F_value, svec),
-                                 svec[-1])
+    return Constraint(f"F_{ell}_{svec}", functools.partial(_F_value, svec), svec[-1])
 
-
-def hereditary_check(
-    constraint: Constraint,
-    law,
-    k: int,
-    rng: np.random.Generator,
-    trees: int = 30,
-    depth: int = 6,
-    tuples_per_tree: int = 40,
-) -> dict:
-    """Randomized heredity audit.
-
-    Samples tuples with a full split by p for p at least the declared
-    heredity generation, replaces every slot by its generation-p ancestor,
-    and compares values. Reports the first counterexample found.
-    """
-    from .tree import generate
-
-    g0 = constraint.heredity_generation
-    if not math.isfinite(g0):
-        return {"constraint": constraint.name, "hereditary": True, "checked": 0,
-                "counterexample": None}
-    g0 = max(1, int(g0))
-    checked = 0
-    for ti in range(trees):
-        tree = generate(law, depth, rng=rng)
-        for _ in range(tuples_per_tree):
-            gens = rng.integers(g0, depth + 1, size=k)
-            try:
-                xs = [
-                    int(rng.choice(tree.generation_ids(int(g)))) for g in gens
-                ]
-                _validate_tuple(tree, xs)
-            except Exception:
-                continue
-            split = first_full_split(tree, xs)
-            lo = int(min(tree.gen[x] for x in xs))
-            for p in range(max(split, g0), lo + 1):
-                ys = [ancestor_at(tree, x, p) for x in xs]
-                checked += 1
-                if constraint(tree, xs) != constraint(tree, ys):
-                    return {
-                        "constraint": constraint.name,
-                        "hereditary": False,
-                        "checked": checked,
-                        "counterexample": {"tuple": xs, "p": p, "tree_index": ti},
-                    }
-    return {"constraint": constraint.name, "hereditary": True, "checked": checked,
-            "counterexample": None}

@@ -11,13 +11,14 @@ function of an immutable tree.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .environment import EnvironmentLaw, tilted_path_values
 from .errors import AncestryError, SolverError
-from .genealogy import Constraint, constant_one, first_full_split
-from .rangestats import tuple_sum
+from .genealogy import Constraint, constant_one
+from .rangestats import _check_constraint, tuple_sum
 from .tree import (
     MarkedTree,
     _logsumexp,
@@ -159,9 +160,11 @@ def quenched_mean_quasi_independent(
     Equals s(s-1)...(s-k+1) times the band sum of f(x) * prod over slots of
     exp(-V)/H, restricted to tuples whose full split generation is at most
     ``warmup``. f defaults to 1; it must be hereditary for the asymptotics
-    to apply but the identity itself is exact for any f. ``f`` is summed
-    as in :func:`gwrange.rangestats.tuple_sum`.
+    to apply but the identity itself is exact for any f. ``f`` is None or
+    a :class:`gwrange.genealogy.Constraint`, summed as in
+    :func:`gwrange.rangestats.tuple_sum`.
     """
+    _check_constraint(f)
     if k < 2:
         raise ValueError("k must be >= 2")
     if s < k:
@@ -175,17 +178,14 @@ def quenched_mean_quasi_independent(
     return math.perm(s, k) * tuple_sum(tree, band, k, f, [weight] * k)
 
 
+def _warmup_value(value, warmup, times, coll):
+    return value(times, coll) if times[-1] <= warmup else 0.0
+
+
 def _within_warmup(f, warmup: int) -> Constraint:
-    """f restricted to tuples fully split by ``warmup``, keeping f's
-    signature form when it has one."""
+    """f restricted to tuples fully split by ``warmup``."""
     base = constant_one() if f is None else f
-    value = getattr(base, "by_signature", None)
-    return Constraint(
-        name=getattr(base, "name", "custom"),
-        fn=lambda tree, xs: base(tree, xs) if first_full_split(tree, xs) <= warmup else 0.0,
-        heredity_generation=warmup,
-        by_signature=value and (lambda t, coll: value(t, coll) if t[-1] <= warmup else 0.0),
-    )
+    return Constraint(base.name, partial(_warmup_value, base.by_signature, warmup), warmup)
 
 
 def phi(

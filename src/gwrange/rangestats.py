@@ -8,8 +8,7 @@ one signature's share by group sums on the induced ancestor forest, with
 a Moebius sum over ordered distinct children at each split (Rota 1964),
 without visiting tuples. Tuples are further classified by how their
 vertices distribute over excursions (all distinct excursions, all in one
-shared excursion, or mixed), and a quasi-independent version fixes which
-excursion visits which slot.
+shared excursion, or mixed).
 """
 
 from __future__ import annotations
@@ -21,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialCapError, EmptySupportError, TupleError
+from .errors import CombinatorialCapError, EmptySupportError
 from .tree import MarkedTree, enumerate_delta_k, is_ancestor
 from .walk import RangeSlice, WalkTrace
 from .genealogy import (
+    Constraint,
     GenealogySignature,
     enumerate_increasing_collections,
     enumerate_partitions,
@@ -41,7 +41,6 @@ __all__ = [
     "general_range",
     "classify_tuple_excursions",
     "excursion_class_masses",
-    "quasi_independent_range",
     "weighted_range_A_l",
     "sample_uniform_tuple",
     "delta_k_count",
@@ -197,9 +196,11 @@ def signature_sum(forest: AncestorForest, times, coll, weights=None) -> np.ndarr
     return _plan_sum(forest, _split_plan(coll), times, 0, sub)
 
 
-def _enumerated(f) -> bool:
-    """True for a callable without a signature form: it is summed tuple by tuple."""
-    return f is not None and getattr(f, "by_signature", None) is None
+def _check_constraint(f) -> None:
+    """Refuse an ``f`` that is neither None nor a :class:`Constraint`."""
+    if f is not None and not isinstance(f, Constraint):
+        raise TypeError(f"f must be None or a Constraint, not {type(f).__name__}; "
+                        "sum other callables tuple by tuple with reference_tuple_sum")
 
 
 def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None):
@@ -239,16 +240,15 @@ def tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None) -> float:
     """Sum over the admissible ordered k-tuples xs of ``ids`` of
     f(tree, xs) * prod_i w_i(xs[i]), weights aligned with ``ids``.
 
-    ``f`` None (every tuple counts one) or a constraint with a signature
-    form is summed signature by signature on the ancestor forest of
-    ``ids``, with no size cap; any other callable goes through
-    :func:`reference_tuple_sum` under its cap.
+    ``f`` is None (every tuple counts one) or a :class:`Constraint`, and
+    the sum runs signature by signature on the ancestor forest of ``ids``,
+    with no size cap. Any other callable raises TypeError before any work:
+    sum it tuple by tuple with :func:`reference_tuple_sum`, under its cap.
     """
-    if _enumerated(f):
-        return reference_tuple_sum(tree, ids, k, f, weights)[0]
+    _check_constraint(f)
     forest = AncestorForest.of_vertices(tree, ids)
     sub = _slot_sums(forest, k, weights)
-    value = getattr(f, "by_signature", None)
+    value = None if f is None else f.by_signature
     # a split at time t needs a generation-(t-1) label with two children
     split_times = [
         t for t in range(1, forest.depth + 1)
@@ -270,31 +270,20 @@ def delta_k_count(slice_: RangeSlice, k: int) -> int:
     return int(tuple_sum(slice_.tree, slice_.ids, k))
 
 
-def general_range(
-    slice_: RangeSlice,
-    k: int,
-    f=None,
-    s: int = None,
-) -> RangeStat:
+def general_range(slice_: RangeSlice, k: int, f=None) -> RangeStat:
     """Band tuple sum of f over admissible ordered k-tuples.
 
-    Returns 0 when the band holds fewer than k vertices. ``s`` (the
-    excursion count) fixes the normalization (s * width)^k; it defaults to
-    the trace's excursion count. ``f`` is summed as in :func:`tuple_sum`.
+    Returns 0 when the band holds fewer than k vertices. The normalization
+    is (s * width)^k with s the trace's excursion count. ``f`` is None or a
+    :class:`Constraint`, summed as in :func:`tuple_sum`.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if s is None:
-        s = slice_.trace.s
-    norm = float(s * slice_.width) ** k
-    name = "one" if f is None else getattr(f, "name", "custom")
     tree, ids = slice_.tree, slice_.ids
-    if _enumerated(f):
-        total, count = reference_tuple_sum(tree, ids, k, f)
-        return RangeStat(total, count, norm, name, k)
-    count = tuple_sum(tree, ids, k)
-    total = count if f is None else tuple_sum(tree, ids, k, f)
-    return RangeStat(total, int(count), norm, name, k)
+    total = tuple_sum(tree, ids, k, f)
+    count = total if f is None else tuple_sum(tree, ids, k)
+    norm = float(slice_.trace.s * slice_.width) ** k
+    return RangeStat(total, int(count), norm, "one" if f is None else f.name, k)
 
 
 def classify_tuple_excursions(trace: WalkTrace, xs) -> str:
@@ -392,39 +381,6 @@ def excursion_class_masses(slice_: RangeSlice) -> dict:
     }
 
 
-def quasi_independent_range(slice_: RangeSlice, jvec, g=None) -> float:
-    """Band tuple sum with slot i required to receive an entry in excursion j_i.
-
-    The excursion indices must be pairwise distinct and within the trace.
-    """
-    jvec = tuple(int(j) for j in jvec)
-    k = len(jvec)
-    if len(set(jvec)) != k:
-        raise TupleError("excursion indices must be pairwise distinct")
-    if any(j < 1 or j > slice_.trace.s for j in jvec):
-        raise TupleError("excursion index outside 1..s")
-    trace, tree = slice_.trace, slice_.tree
-    per_slot = []
-    for j in jvec:
-        hits = {
-            int(v)
-            for row, v in zip(slice_.rows, slice_.ids)
-            if j in trace.entry_excursions[row]
-        }
-        if not hits:
-            return 0.0
-        per_slot.append(hits)
-    pool = set().union(*per_slot)
-
-    def f(tree, xs):
-        if not all(x in hits for x, hits in zip(xs, per_slot)):
-            return 0.0
-        return 1.0 if g is None else g(tree, xs)
-
-    ids = [int(v) for v in slice_.ids if int(v) in pool]
-    return reference_tuple_sum(tree, ids, k, f)[0]
-
-
 def weighted_range_A_l(
     tree: MarkedTree,
     k: int,
@@ -436,8 +392,8 @@ def weighted_range_A_l(
     sum over ordered distinct k-tuples at ``level`` of f(x) * exp(-<beta, V(x)>).
 
     beta defaults to all ones. Distinct same-generation vertices are never
-    ancestrally related, so admissibility is automatic. ``f`` is summed as
-    in :func:`tuple_sum`.
+    ancestrally related, so admissibility is automatic. ``f`` is None or a
+    :class:`Constraint`, summed as in :func:`tuple_sum`.
     """
     if level > tree.depth:
         raise ValueError("level beyond the truncation depth")

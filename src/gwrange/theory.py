@@ -343,13 +343,13 @@ def _grid_row(n, stats, target, deviation, **extra) -> dict:
 def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
     """(statistic, target) of one replica; the volume target still lacks the
     c_inf**k factor. None when the ratio's denominator vanishes."""
-    tree, s = sl.tree, sl.trace.s
-    num = general_range(sl, k, constraint, s=s)
+    tree = sl.tree
+    num = general_range(sl, k, constraint)
     lstar = min(l_star, tree.depth)
     if experiment == "constrained-volume":
         return (num.value / (math.sqrt(n) * sl.width) ** k,
                 weighted_range_A_l(tree, k, lstar, constraint))
-    den = general_range(sl, k, None, s=s)
+    den = general_range(sl, k, None)
     if den.value == 0:
         return None
     a_f = weighted_range_A_l(tree, k, lstar, constraint)

@@ -26,3 +26,24 @@ def test_no_weighted_choice_in_src():
                     and (len(node.args) >= 4 or any(k.arg == "p" for k in node.keywords))):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+ENUMERATORS = {"reference_tuple_sum", "enumerate_delta_k"}
+ENUMERATION_SITES = {"rangestats.reference_tuple_sum", "theory._reference_sums",
+                     "theory.signature_sum_identity", "theory.split_bound_sum_identity"}
+
+
+def test_per_tuple_enumeration_only_at_oracle_sites():
+    # library sums go through the signature engine; per-tuple enumeration
+    # stays in the reference sum and the exact identities built on it
+    found = set()
+    for path in sorted(Path(gwrange.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            site = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ENUMERATORS:
+                        found.add(site)
+    assert found - ENUMERATION_SITES == set()

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gwrange as g
 from gwrange.errors import SignatureError, TupleError
@@ -12,6 +13,7 @@ from gwrange.genealogy import (
     constant_one,
     enumerate_increasing_collections,
 )
+from gwrange.quenched import _within_warmup
 
 P = Partition.make
 
@@ -243,26 +245,39 @@ class TestIndicator:
         assert back == sig
 
 
-class TestHereditary:
-    def test_constant_one(self, law, rng):
-        rep = g.hereditary_check(constant_one(), law, 2, rng, trees=5)
-        assert rep["hereditary"]
+def _weighted_times(times, coll):
+    # a signature function outside the library: reads times and partitions
+    return float(sum(t * len(part) for t, part in zip(times, coll.levels[1:])))
 
-    def test_adjacent_split_bounds(self, law, rng):
-        f = g.make_f_lambda([2, 3])
-        assert f.heredity_generation == 3
-        rep = g.hereditary_check(f, law, 3, rng, trees=10)
-        assert rep["hereditary"]
 
-    def test_parity_counterexample(self, law, rng):
-        parity = Constraint(
-            name="parity",
-            fn=lambda tree, xs: 1.0 if tree.gen[xs[0]] % 2 == 0 else 0.0,
-            heredity_generation=1,
-        )
-        rep = g.hereditary_check(parity, law, 2, rng, trees=20)
-        assert not rep["hereditary"]
-        assert rep["counterexample"] is not None
+_HEREDITY_TREES = [g.generate(g.default_law(), 6, seed=seed) for seed in (61, 62)]
+_HEREDITY_CASES = {
+    k: [constant_one(), g.make_f_m(3), g.make_f_lambda([2, 3][: k - 1]),
+        g.make_f_lambda([math.inf] * (k - 1)), _within_warmup(g.make_f_m(3), 4),
+        Constraint("weighted-times", _weighted_times, 1)]
+    + [g.make_F_ell_s(ell, svec, k)
+       for ell in range(1, k) for svec in itertools.combinations(range(1, 5), ell)]
+    for k in (2, 3)
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_constraints_are_hereditary(data):
+    # a constraint reads only the signature, which a tuple shares with its
+    # generation-p ancestors from its first full split on
+    tree = data.draw(st.sampled_from(_HEREDITY_TREES))
+    k = data.draw(st.sampled_from(sorted(_HEREDITY_CASES)))
+    f = data.draw(st.sampled_from(_HEREDITY_CASES[k]))
+    xs = data.draw(st.lists(st.integers(1, tree.size - 1), min_size=k, max_size=k, unique=True))
+    try:
+        split = g.first_full_split(tree, xs)
+    except TupleError:
+        assume(False)
+    value = f(tree, xs)
+    for p in range(split, min(int(tree.gen[x]) for x in xs) + 1):
+        ys = [g.ancestor_at(tree, x, p) for x in xs]
+        assert f(tree, ys) == value, (f.name, xs, p)
 
 
 class TestConstraintLibrary:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,15 +9,18 @@ import pytest
 import gwrange as g
 from gwrange import rng as rngmod
 from gwrange.errors import CombinatorialCapError, EmptySupportError, TupleError
+from gwrange.genealogy import Constraint
 from gwrange.rangestats import (
     CLASS_DISTINCT,
     CLASS_MIXED,
     CLASS_SAME_SINGLE,
     DEFAULT_TUPLE_CAP,
+    reference_tuple_sum,
+    tuple_sum,
 )
 from gwrange.theory import desk_band
 from gwrange.walk import range_slice, run_excursions
-from quasi_independent_oracle import sum_quasi_independent
+from quasi_independent_oracle import quasi_independent_range, sum_quasi_independent
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +28,14 @@ def walked(law):
     tree = g.generate(law, 8, seed=700)
     trace = run_excursions(tree, 40, rngmod.stream(701, "w"))
     return tree, trace
+
+
+def _affine_value(scale, shift, value, times, coll):
+    return scale * value(times, coll) + shift
+
+
+def _plain(tree, xs):
+    return 1.0
 
 
 class TestGeneralRange:
@@ -51,13 +63,13 @@ class TestGeneralRange:
         tree, trace = walked
         sl = range_slice(trace, tree, 3, 5)
         f = g.make_f_m(2)
-        lhs = g.general_range(
-            sl, 2, lambda t, xs: 2.5 * f(t, xs) + 1.0
-        ).value
+        affine = Constraint("2.5 f_m2 + 1", partial(_affine_value, 2.5, 1.0, f.by_signature), 2)
+        lhs = g.general_range(sl, 2, affine).value
         assert lhs == pytest.approx(
             2.5 * g.general_range(sl, 2, f).value + g.general_range(sl, 2).value,
             rel=1e-12,
         )
+        assert lhs == pytest.approx(reference_tuple_sum(tree, sl.ids, 2, affine)[0], rel=1e-12)
 
     def test_ancestor_pairs_excluded(self, walked):
         tree, trace = walked
@@ -68,8 +80,8 @@ class TestGeneralRange:
         assert stat.value == count
 
     def test_cap_refusal(self, law):
-        # only per-tuple enumeration (plain callables) has a size cap, and it
-        # refuses before the first tuple: the n = 1e4 band of seed 1, replica 0
+        # only the per-tuple reference sum has a size cap, and it refuses
+        # before the first tuple: the n = 1e4 band of seed 1, replica 0
         n = 10_000
         lower, upper = desk_band(law, n)
         tree = g.generate(law, upper, rng=rngmod.stream(1, f"tree/{n}", 0))
@@ -81,7 +93,22 @@ class TestGeneralRange:
             raise AssertionError("a tuple was enumerated")
 
         with pytest.raises(CombinatorialCapError):
-            g.general_range(sl, 3, never_called)
+            reference_tuple_sum(sl.tree, sl.ids, 3, never_called)
+
+    @pytest.mark.parametrize("call", [
+        lambda sl, f: g.general_range(sl, 2, f),
+        lambda sl, f: tuple_sum(sl.tree, sl.ids, 2, f),
+        lambda sl, f: g.weighted_range_A_l(sl.tree, 2, 4, f),
+        lambda sl, f: g.quenched_mean_quasi_independent(sl.tree, 3, 5, 10, 2, f),
+        lambda sl, f: g.quenched_mean_quasi_independent(sl.tree, 3, 5, 10, 2, f, warmup=4),
+    ], ids=["general_range", "tuple_sum", "weighted_range_A_l", "quenched_mean",
+            "quenched_mean_warmup"])
+    def test_plain_callable_refused(self, walked, call):
+        # per-tuple sums of other callables go through reference_tuple_sum
+        tree, trace = walked
+        sl = range_slice(trace, tree, 3, 5)
+        with pytest.raises(TypeError, match="reference_tuple_sum"):
+            call(sl, _plain)
 
     def test_hereditary_factorization(self, walked):
         # restricting a hereditary constraint to tuples fully split by m and
@@ -204,13 +231,13 @@ class TestQuasiIndependent:
         tree, trace = walked
         sl = range_slice(trace, tree, 3, 5)
         with pytest.raises(TupleError):
-            g.quasi_independent_range(sl, (2, 2))
+            quasi_independent_range(sl, (2, 2))
 
     def test_out_of_range_rejected(self, walked):
         tree, trace = walked
         sl = range_slice(trace, tree, 3, 5)
         with pytest.raises(TupleError):
-            g.quasi_independent_range(sl, (1, trace.s + 1))
+            quasi_independent_range(sl, (1, trace.s + 1))
 
     def test_two_vertex_example(self, law):
         # find an excursion pair with exactly the expected contribution
@@ -219,7 +246,7 @@ class TestQuasiIndependent:
         sl = range_slice(trace, tree, 2, 4)
         total = 0.0
         for j1, j2 in itertools.permutations(range(1, 9), 2):
-            total += g.quasi_independent_range(sl, (j1, j2))
+            total += quasi_independent_range(sl, (j1, j2))
         assert total == sum_quasi_independent(sl, 2)
 
     def test_unvisited_excursion_contributes_zero(self, law):
@@ -233,7 +260,7 @@ class TestQuasiIndependent:
         if not idle:
             pytest.skip("every excursion touched the band")
         other = next(j for j in range(1, 9) if j != idle[0])
-        assert g.quasi_independent_range(sl, (idle[0], other)) == 0.0
+        assert quasi_independent_range(sl, (idle[0], other)) == 0.0
 
     def test_overcount_inequality(self, walked):
         # summed quasi-independent range dominates the range restricted to

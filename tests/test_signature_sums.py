@@ -12,6 +12,7 @@ import gwrange as g
 from gwrange import rng as rngmod
 from gwrange.cli import main
 from gwrange.genealogy import constant_one, enumerate_increasing_collections
+from gwrange.quenched import _within_warmup
 from gwrange.rangestats import (
     DEFAULT_TUPLE_CAP,
     AncestorForest,
@@ -173,7 +174,7 @@ def test_library_constraints_pickle(walked_n1e4):
     sl = range_slice(trace, tree, 14, 15)
     cases = [(constant_one(), 2), (g.make_f_m(6), 2), (g.make_f_lambda([3]), 2),
              (g.make_f_lambda([3, math.inf]), 3), (g.make_F_ell_s(1, [4], 2), 2),
-             (g.make_F_ell_s(2, [2, 4], 3), 3)]
+             (g.make_F_ell_s(2, [2, 4], 3), 3), (_within_warmup(g.make_f_m(3), 4), 2)]
     tuples = list(itertools.permutations(sl.ids[:6].tolist(), 3))
     for f, k in cases:
         back = pickle.loads(pickle.dumps(pickle.loads(pickle.dumps(f))))
