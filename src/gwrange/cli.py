@@ -7,7 +7,7 @@ Subcommands:
 * ``simulate``     tree + walk replicas, trace and band-slice exports
 * ``genealogy``    signatures and split-time histograms of sampled tuples
 * ``verify``       limit-comparison report for one experiment id
-* ``oracle``       closed-form hitting probability vs linear-solve sweep
+* ``oracle``       closed-form hitting probability vs sparse linear solve
 
 Configuration is an INI file with sections [law], [schedule], [experiment];
 the command line overrides seed, replica count, worker count and output
@@ -291,6 +291,10 @@ def _cmd_verify(args, cp, law, outdir):
 
 
 def _cmd_oracle(args, cp, law, outdir):
+    if args.cases < 1 or args.depth_max < 3:
+        print(f"oracle: need --cases >= 1 and --depth-max >= 3, got {args.cases} "
+              f"and {args.depth_max}", file=sys.stderr)
+        return 2
     worst = 0.0
     rows = []
     for case in range(args.cases):

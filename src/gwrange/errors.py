@@ -58,9 +58,10 @@ class CombinatorialCapError(GwrangeError):
 
 
 class SolverError(GwrangeError):
-    """The iterative harmonic solver failed to converge.
+    """The fixed-point iteration of :func:`gwrange.environment.c_infinity`
+    failed to converge.
 
-    ``residual`` reports the final sup-norm residual.
+    ``residual`` reports the final sup-norm change between sweeps.
     """
 
     def __init__(self, message, residual=None):

@@ -465,7 +465,7 @@ def _F_value(svec, times, coll):
     return 1.0 if tuple(times) == svec else 0.0
 
 
-def constant_one(k: int = None) -> Constraint:
+def constant_one() -> Constraint:
     return Constraint("one", _one_value, 1)
 
 

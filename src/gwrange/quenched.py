@@ -2,10 +2,10 @@
 
 The closed forms here are rational expressions in exp(V) along ancestral
 lines; they are evaluated in log-sum-exp form since potentials grow
-linearly in the generation. An independent linear-system oracle solves the
-same hitting problem as a harmonic function on the full truncated tree and
-is used to cross-check the closed form. Everything here is a pure
-function of an immutable tree.
+linearly in the generation. An independent oracle solves the same hitting
+problem as a harmonic function on the full truncated tree, by one sparse
+direct solve, and is used to cross-check the closed form. Everything here
+is a pure function of an immutable tree.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .environment import EnvironmentLaw, tilted_path_values
-from .errors import AncestryError, SolverError
+from .errors import AncestryError
 from .genealogy import Constraint, constant_one
 from .rangestats import _check_constraint, tuple_sum
 from .tree import (
@@ -50,90 +50,41 @@ def hit_before_return(tree: MarkedTree, z: int, x: int) -> float:
     return math.exp(log_num - log_den)
 
 
-def hit_before_return_oracle(
-    tree: MarkedTree,
-    z: int,
-    x: int,
-    dense_limit: int = 2000,
-    tol: float = 1e-12,
-    max_iter: int = 200_000,
-) -> float:
+def hit_before_return_oracle(tree: MarkedTree, z: int, x: int) -> float:
     """Same probability via the harmonic system h = P h, h(x)=1, h(reflector)=0.
 
     The system runs over every materialized vertex; at the truncation
     frontier the unmaterialized children contribute a self-loop (the walk
     returns from below with probability one without hitting x, which lies
-    in the materialized part). Dense solve below ``dense_limit`` states,
-    damped fixed-point iteration above.
+    in the materialized part). I - P is assembled as a sparse matrix, with
+    row x replaced by the boundary condition, and solved once by a sparse
+    direct solve.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import spsolve
+
     if not is_ancestor(tree, z, x):
         raise AncestryError(f"{z} is not on the ancestral line of {x}")
     n = tree.size
-    # transition rows: for node u, weights to parent and children
-    up_w = tree.exp_neg_v.copy()
-    if n <= dense_limit:
-        A = np.zeros((n, n))
-        b = np.zeros(n)
-        for u in range(n):
-            if u == x:
-                A[u, u] = 1.0
-                b[u] = 1.0
-                continue
-            kids = tree.children(u)
-            w = np.concatenate(([up_w[u]], tree.exp_neg_v[kids]))
-            if tree.is_frontier(u):
-                down = tree.frontier_down_weight(u)
-                total = up_w[u] + down
-                A[u, u] = 1.0 - down / total  # self-loop: sub-excursion returns
-                p = tree.parent[u]
-                if p >= 0:
-                    A[u, p] -= up_w[u] / total
-                # parent = reflector contributes h=0
-                continue
-            total = w.sum()
-            A[u, u] = 1.0
-            p = tree.parent[u]
-            if p >= 0:
-                A[u, p] -= up_w[u] / total
-            for j, c in enumerate(kids):
-                A[u, c] -= tree.exp_neg_v[c] / total
-        from scipy.linalg import solve
-
-        h = solve(A, b)
-        return float(h[z])
-    # damped Jacobi sweep
-    h = np.zeros(n)
-    h[x] = 1.0
-    damp = 0.5
-    for it in range(max_iter):
-        new = np.zeros(n)
-        for u in range(n):
-            if u == x:
-                new[u] = 1.0
-                continue
-            kids = tree.children(u)
-            if tree.is_frontier(u):
-                down = tree.frontier_down_weight(u)
-                total = up_w[u] + down
-                val = down / total * h[u]
-                p = tree.parent[u]
-                if p >= 0:
-                    val += up_w[u] / total * h[p]
-                new[u] = val
-                continue
-            total = up_w[u] + tree.exp_neg_v[kids].sum()
-            val = 0.0
-            p = tree.parent[u]
-            if p >= 0:
-                val += up_w[u] / total * h[p]
-            for c in kids:
-                val += tree.exp_neg_v[c] / total * h[c]
-            new[u] = val
-        delta = float(np.abs(new - h).max())
-        h = (1 - damp) * h + damp * new
-        if delta < tol:
-            return float(h[z])
-    raise SolverError("harmonic iteration did not converge", residual=delta)
+    w = tree.exp_neg_v
+    down = np.zeros(n)
+    if tree.halo_weight is not None:
+        down[tree.gen_offsets[tree.depth] : tree.gen_offsets[tree.depth + 1]] = tree.halo_weight
+    kids = np.flatnonzero(tree.parent >= 0)
+    par = tree.parent[kids]
+    total = w + np.bincount(par, weights=w[kids], minlength=n) + down
+    diag = np.arange(n)
+    rows = np.concatenate((diag, kids, par))
+    cols = np.concatenate((diag, par, kids))
+    vals = np.concatenate((1.0 - down / total, -w[kids] / total[kids], -w[kids] / total[par]))
+    keep = rows != x
+    A = csc_matrix(
+        (np.append(vals[keep], 1.0), (np.append(rows[keep], x), np.append(cols[keep], x))),
+        shape=(n, n),
+    )
+    b = np.zeros(n)
+    b[x] = 1.0
+    return float(spsolve(A, b)[z])
 
 
 def cross_check(tree, z, x, tol=1e-9, dump_path=None) -> float:

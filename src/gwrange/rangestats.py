@@ -28,8 +28,6 @@ from .genealogy import (
     GenealogySignature,
     enumerate_increasing_collections,
     enumerate_partitions,
-    first_full_split,
-    make_f_m,
 )
 
 __all__ = [
@@ -47,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_TUPLE_CAP = 5_000_000
+SAMPLE_MAX_ATTEMPTS = 100_000  # rejection draws before the support is checked
 
 CLASS_DISTINCT = "distinct"
 CLASS_SAME_SINGLE = "same-single"
@@ -406,25 +405,18 @@ def weighted_range_A_l(
     return tuple_sum(tree, ids, k, f, [powered[b] for b in beta])
 
 
-def sample_uniform_tuple(
-    slice_: RangeSlice,
-    k: int,
-    rng: np.random.Generator,
-    split_bound: int = None,
-    max_attempts: int = 100_000,
-):
-    """Uniform draw from the admissible ordered k-tuples of the band,
-    optionally conditioned on a full split by ``split_bound``.
+def sample_uniform_tuple(slice_: RangeSlice, k: int, rng: np.random.Generator):
+    """Uniform draw from the admissible ordered k-tuples of the band.
 
     Exact rejection from ordered distinct-vertex draws. Raises when the
-    band is too small or the conditioned support is verified empty.
+    band is too small or its admissible support is verified empty.
     """
     ids = slice_.ids
     n = len(ids)
     if n < k:
         raise EmptySupportError(f"band holds {n} < k = {k} vertices")
     tree = slice_.tree
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_MAX_ATTEMPTS):
         pick = rng.choice(n, size=k, replace=False)
         tup = tuple(int(ids[i]) for i in pick)
         ok = True
@@ -433,14 +425,11 @@ def sample_uniform_tuple(
             if is_ancestor(tree, lo, hi):
                 ok = False
                 break
-        if not ok:
-            continue
-        if split_bound is not None and first_full_split(tree, tup) > split_bound:
-            continue
-        return tup
+        if ok:
+            return tup
     # verify emptiness before giving up
-    if tuple_sum(tree, ids, k, None if split_bound is None else make_f_m(split_bound)) > 0:
+    if tuple_sum(tree, ids, k) > 0:
         raise EmptySupportError(
-            f"rejection failed after {max_attempts} attempts on nonempty support"
+            f"rejection failed after {SAMPLE_MAX_ATTEMPTS} attempts on nonempty support"
         )
-    raise EmptySupportError("conditioned tuple set is empty")
+    raise EmptySupportError("admissible tuple set is empty")

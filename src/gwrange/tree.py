@@ -100,12 +100,9 @@ class MarkedTree:
             np.exp(self._exp_neg_v, out=self._exp_neg_v)
         return self._exp_neg_v
 
-    def is_frontier(self, x: int) -> bool:
-        return self.gen[x] == self.depth
-
     def frontier_down_weight(self, x: int) -> float:
         """Total kernel weight of the unmaterialized children of a frontier node."""
-        if not self.is_frontier(x):
+        if self.gen[x] != self.depth:
             raise QueryError(f"{x} is not at the truncation frontier")
         if self.halo_weight is None:
             return 0.0

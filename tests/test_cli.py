@@ -50,6 +50,13 @@ class TestSubcommands:
         lines = (tmp_path / "oracle.csv").read_text().splitlines()
         assert len(lines) == 16
 
+    @pytest.mark.parametrize("args", [["--cases", "2", "--depth-max", "2"], ["--cases", "-3"]])
+    def test_oracle_refuses_bad_arguments(self, tmp_path, capsys, args):
+        assert run(["oracle"] + args, tmp_path) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("oracle: need") and err.count("\n") == 1
+        assert not (tmp_path / "oracle.csv").exists()
+
     def test_simulate_and_genealogy(self, tmp_path):
         assert run(["simulate", "--n-grid", "2000", "--replicas", "2", "--seed", "4"],
                    tmp_path / "sim") == 0

@@ -47,3 +47,27 @@ def test_per_tuple_enumeration_only_at_oracle_sites():
                     if name in ENUMERATORS:
                         found.add(site)
     assert found - ENUMERATION_SITES == set()
+
+
+def _imports_scipy_sparse(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.sparse") for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return (node.module.startswith("scipy.sparse")
+                or node.module == "scipy" and any(a.name == "sparse" for a in node.names))
+    return False
+
+
+def test_scipy_sparse_imported_only_inside_functions():
+    # a module-level scipy.sparse import costs every workload its memory,
+    # while only the hitting oracle solves a sparse system
+    found = []
+    for path in sorted(Path(gwrange.__file__).parent.glob("*.py")):
+        todo = list(ast.parse(path.read_text()).body)
+        while todo:
+            node = todo.pop()
+            if _imports_scipy_sparse(node):
+                found.append(f"{path.name}:{node.lineno}")
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+    assert found == []

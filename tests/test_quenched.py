@@ -83,13 +83,28 @@ class TestOracle:
                                        rel=1e-12)
         assert solved == pytest.approx(closed, abs=1e-10)
 
-    def test_iterative_mode_agrees(self, law):
-        tree = g.generate(law, 6, seed=77)
-        ids = tree.generation_ids(6)
-        x = int(ids[3])
-        dense = g.hit_before_return_oracle(tree, 0, x)
-        iterative = g.hit_before_return_oracle(tree, 0, x, dense_limit=1)
-        assert iterative == pytest.approx(dense, abs=1e-9)
+    def test_agreement_on_large_tree(self, law):
+        tree = g.generate(law, 12, seed=5)
+        assert tree.size > 20_000
+        rng = np.random.default_rng(12)
+        for gen in (12, 12, 7):
+            ids = tree.generation_ids(gen)
+            x = int(ids[rng.integers(len(ids))])
+            chain = tree.ancestor_chain(x)
+            for z in (0, int(chain[rng.integers(len(chain))])):
+                assert g.hit_before_return_oracle(tree, z, x) == pytest.approx(
+                    g.hit_before_return(tree, z, x), rel=1e-12)
+
+    def test_agreement_with_childless_interior_vertices(self):
+        # vertices 2 (generation 1), 5 and 7 (generation 3) have no children
+        # above the generation-4 frontier
+        parents = [-1, 0, 0, 1, 1, 3, 3, 4, 6]
+        t = g.tree_from_parents(parents, [0.0, 0.4, -0.3, 0.2, 0.7, -0.5, 0.1, 0.3, -0.2])
+        assert t.depth == 4 and [int(t.n_children[u]) for u in (2, 5, 7)] == [0, 0, 0]
+        for x in range(t.size):
+            for z in t.ancestor_chain(x):
+                assert g.hit_before_return_oracle(t, int(z), x) == pytest.approx(
+                    g.hit_before_return(t, int(z), x), rel=1e-12)
 
     def test_disagreement_dump(self, small_tree, tmp_path):
         x = int(small_tree.generation_ids(4)[0])
