@@ -84,7 +84,6 @@ from .tree import (
 from .walk import (
     RangeSlice,
     WalkTrace,
-    excursion_stats,
     range_slice,
     run_excursions,
     trace_to_csv,

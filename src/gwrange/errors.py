@@ -29,14 +29,6 @@ class ResourceLimitError(GwrangeError):
     """Expected or actual node count exceeds the configured cap."""
 
 
-class StepBudgetError(GwrangeError):
-    """The walk exhausted its step budget before completing s excursions."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class AncestryError(GwrangeError):
     """A vertex pair violates a required ancestor relation."""
 

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_TUPLE_CAP = 5_000_000
-SAMPLE_MAX_ATTEMPTS = 100_000  # rejection draws before the support is checked
+SAMPLE_MAX_ATTEMPTS = 100_000  # rejection draws before giving up
 
 CLASS_DISTINCT = "distinct"
 CLASS_SAME_SINGLE = "same-single"
@@ -416,7 +416,11 @@ def sample_uniform_tuple(slice_: RangeSlice, k: int, rng: np.random.Generator):
     if n < k:
         raise EmptySupportError(f"band holds {n} < k = {k} vertices")
     tree = slice_.tree
-    for _ in range(SAMPLE_MAX_ATTEMPTS):
+    # one exact emptiness check, early enough that an empty band raises fast
+    check_at = SAMPLE_MAX_ATTEMPTS // 100
+    for attempt in range(SAMPLE_MAX_ATTEMPTS):
+        if attempt == check_at and tuple_sum(tree, ids, k) == 0:
+            raise EmptySupportError("admissible tuple set is empty")
         pick = rng.choice(n, size=k, replace=False)
         tup = tuple(int(ids[i]) for i in pick)
         ok = True
@@ -427,9 +431,6 @@ def sample_uniform_tuple(slice_: RangeSlice, k: int, rng: np.random.Generator):
                 break
         if ok:
             return tup
-    # verify emptiness before giving up
-    if tuple_sum(tree, ids, k) > 0:
-        raise EmptySupportError(
-            f"rejection failed after {SAMPLE_MAX_ATTEMPTS} attempts on nonempty support"
-        )
-    raise EmptySupportError("admissible tuple set is empty")
+    raise EmptySupportError(
+        f"rejection failed after {SAMPLE_MAX_ATTEMPTS} attempts on nonempty support"
+    )

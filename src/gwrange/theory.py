@@ -26,7 +26,7 @@ from .environment import (
     log_laplace,
     moment_c_j,
 )
-from .errors import DomainError, ScheduleInfeasibleError, SignatureError, StepBudgetError
+from .errors import DomainError, ScheduleInfeasibleError, SignatureError
 from .genealogy import (
     Constraint,
     IncreasingCollection,
@@ -505,10 +505,12 @@ def local_time_law_probe(
     The prediction concerns the number of completed excursions within a
     real-time budget. On pregenerated truncated trees the time spent below
     the frontier is unobservable (``exact: false`` in the report): the
-    probe counts excursions within a budget of recorded steps, so its
+    probe counts the excursions that return within n recorded steps, so its
     samples are systematically inflated and the half-normal comparison is a
-    shape diagnostic, never a hard assertion. Budgets too small for the
-    desk band are flagged schedule-infeasible.
+    shape diagnostic, never a hard assertion. Excursions are drawn on the
+    lt-walk/n stream in batches of ceil(sqrt(n)), then twice the previous
+    batch, until the recorded steps pass n. Budgets too small for the desk
+    band are flagged schedule-infeasible.
     """
     from scipy import stats as sstats
 
@@ -527,14 +529,13 @@ def local_time_law_probe(
         samples = []
         for rep in range(replicas):
             tree = generate(law, upper, rng=rngmod.stream(seed, f"lt-tree/{n}", rep))
-            try:
-                trace = run_excursions(
-                    tree, s=max(2, n), rng=rngmod.stream(seed, f"lt-walk/{n}", rep),
-                    step_budget=n,
-                )
-                completed = trace.s
-            except StepBudgetError as err:
-                completed = len(err.partial.return_steps) - 1
+            walk_rng = rngmod.stream(seed, f"lt-walk/{n}", rep)
+            elapsed, completed, batch = 0, 0, int(math.ceil(math.sqrt(n)))
+            while elapsed <= n:
+                trace = run_excursions(tree, batch, walk_rng)
+                completed += int(np.count_nonzero(trace.return_steps[1:] <= n - elapsed))
+                elapsed += trace.steps
+                batch *= 2
             w = additive_martingale(tree, tree.depth)
             samples.append(completed * w / (math.sqrt(n) * math.sqrt(c0)))
         arr = np.array(samples, dtype=float)

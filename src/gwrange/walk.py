@@ -6,52 +6,56 @@ exp(-V(.)); from the reflecting vertex it always re-enters the root. The
 trace is recorded per excursion (segments between successive visits to the
 reflecting vertex).
 
+Branching form. Every statistic recorded here depends only on how often each
+vertex is entered in each excursion, not on the order of the steps. Each
+entry into x from its parent ends in exactly one step back up, and the moves
+from x into its children between two such steps are geometric with success
+probability p_up(x) = e^{-V(x)} / (e^{-V(x)} + down(x)), down(x) the sum of
+e^{-V(c)} over the children. Given N entries into x in one excursion, the
+moves into its children therefore number NegBin(N, p_up(x)), and they split
+multinomially by e^{-V(c)}: the entry counts of one excursion form a
+branching process over generations (Kesten, Kozlov & Spitzer, Compositio
+Math. 1975). :func:`run_excursions` advances all s excursions together, one
+generation at a time, on rows (excursion, vertex, N).
+
 Truncation frontier. In the recurrent regimes this package targets, a step
 below the deepest materialized generation enters a subtree from which the
 walk returns to the entry vertex with probability one (the only way back
-up is through it) without touching anything materialized. The walk
-therefore collapses such a sub-excursion into a single recorded return
-visit to the entry vertex, drawn with the exact quenched down-weight of
-its unmaterialized children. Every statistic supported here (visited sets,
-local times, edge local times, per-excursion visit counts at materialized
-generations) has exactly the law it would have on the infinite tree. Only
-the wall-clock step count of the collapsed sub-excursions is unobservable:
-``steps`` counts each collapse as its two-step minimum and ``dives``
-reports how many collapses occurred, so ``steps`` is an exact lower bound
-on the true elapsed time and exact whenever ``dives == 0``.
+up is through it) without touching anything materialized. Such a dive is
+collapsed into a single recorded return visit to the entry vertex: at the
+frontier down(x) is the exact quenched weight ``halo_weight`` of the
+unmaterialized children, and the NegBin count is the number of dives.
+Every statistic supported here (visited sets, local times, edge local
+times, per-excursion visit counts at materialized generations) has exactly
+the law it would have on the infinite tree.
 
-:func:`run_excursions` is the one implementation of the kernel. Its
-one-step law shows in the trace counts: from an interior vertex u, the
-moves to a child c number ``edge_local_time[c]`` and the moves up number
-``local_time[u]`` minus their sum; at the frontier, the moves up number
-``edge_local_time[u]`` (the walk leaves upward once per entry from the
-parent) and the rest of ``local_time[u]`` are returns from collapsed dives.
+Recorded steps. An excursion crosses the edge above each entered vertex
+twice per entry and spends two recorded steps on each dive, so its recorded
+length is 2 sum N + 2 dives; ``return_steps`` are the cumulative lengths.
+The wall-clock length of a dive is unobservable, so ``steps`` is an exact
+lower bound on the true elapsed time and exact whenever ``dives == 0``.
 
-A single walk is strictly sequential; finalized traces are immutable and
-shareable, and (tree, walk) replicas run embarrassingly parallel on
-independent streams.
+Finalized traces are immutable and shareable, and (tree, walk) replicas run
+embarrassingly parallel on independent streams.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QueryError, StepBudgetError
+from .errors import QueryError
 from .tree import MarkedTree
 
 __all__ = [
     "WalkTrace",
     "RangeSlice",
     "run_excursions",
-    "excursion_stats",
     "range_slice",
     "trace_to_csv",
 ]
-
-REFLECTOR = -1
 
 
 @dataclass
@@ -68,184 +72,102 @@ class WalkTrace:
     edge_local_time: np.ndarray  # entries from the parent up to T^s
     excursion_count: np.ndarray  # number of excursions with an entry
     first_excursion: np.ndarray  # 1-based index of the first visiting excursion
-    first_hit_step: np.ndarray
     entry_excursions: list  # per vertex, sorted excursion indices with entries
     root_local_time: int  # visits to the reflecting vertex = s
-    complete: bool = True
-    _index: dict = field(default=None, repr=False)
 
     def index_of(self, u: int) -> int:
-        if self._index is None:
-            self._index = {int(v): i for i, v in enumerate(self.ids)}
-        try:
-            return self._index[int(u)]
-        except KeyError:
-            raise QueryError(f"vertex {u} was never visited") from None
+        i = int(np.searchsorted(self.ids, u))
+        if i == len(self.ids) or self.ids[i] != u:
+            raise QueryError(f"vertex {u} was never visited")
+        return i
 
     def was_visited(self, u: int) -> bool:
-        if self._index is None:
-            self._index = {int(v): i for i, v in enumerate(self.ids)}
-        return int(u) in self._index
+        i = int(np.searchsorted(self.ids, u))
+        return i < len(self.ids) and self.ids[i] == u
 
 
-def run_excursions(
-    tree: MarkedTree,
-    s: int,
-    rng: np.random.Generator,
-    step_budget: int = None,
-) -> WalkTrace:
-    """Simulate until the s-th return to the reflecting vertex.
+def run_excursions(tree: MarkedTree, s: int, rng: np.random.Generator) -> WalkTrace:
+    """Simulate s excursions from the reflecting vertex.
 
-    Deterministic given (tree, s, rng state). ``step_budget`` defaults to
-    50 * s**2, the nominal time scale of s excursions.
+    Generation by generation over rows (excursion, vertex, N), N the entries
+    from the parent: one ``negative_binomial`` call gives every row's moves
+    into children (dives at the frontier), and one ``binomial`` call per
+    child slot splits them over the children, the last child taking the
+    remainder. Deterministic given (tree, s, rng state). Only the exp(-V)
+    of entered vertices and their children are computed.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if step_budget is None:
-        step_budget = 50 * s * s
-    parent = tree.parent
     V = tree.V
-    first_child = tree.first_child
-    n_children = tree.n_children
-    frontier_gen = tree.depth
-    gen = tree.gen
-    halo = tree.halo_weight
-    frontier_base = int(tree.gen_offsets[frontier_gen])
-
-    # per-vertex record: [local, edge, exc_count, first_exc, first_step, last_entry_exc]
-    records: dict = {}
-    entry_lists: dict = {}
-    # exp(-V) of the vertices met so far, computed one child block at a time
-    # when the walk first stands on the parent (a vertex below the root is
-    # always entered from its parent first), so a walk that visits a small
-    # part of a big tree never holds a weight for every vertex.
-    weight = {0: float(np.exp(-V[0]))}
-    kid_weights: dict = {}
-    rand = rng.random
-
-    steps = 0
-    dives = 0
-    exc = 0
-    return_steps = [0]
-    u = REFLECTOR
-    while True:
-        if u == REFLECTOR:
-            exc += 1
-            v = 0
-            from_parent = True
+    depth = tree.depth
+    # rows stay in (excursion, vertex) order: children are laid out row by
+    # row and slot by slot, and child ids follow their parents' order
+    exc = np.arange(1, s + 1, dtype=np.int64)
+    vert = np.zeros(s, dtype=np.int64)
+    entries = np.ones(s, dtype=np.int64)
+    rows = []  # per generation: (excursion, vertex, entries, moves down)
+    for g in range(depth + 1):
+        w_up = np.exp(-V[vert])
+        if g == depth:
+            halo = tree.halo_weight
+            down = np.zeros(len(vert)) if halo is None else halo[vert - tree.gen_offsets[depth]]
         else:
-            w_up = weight[u]
-            if gen[u] == frontier_gen:
-                w_down = 0.0 if halo is None else halo[u - frontier_base]
-                if rand() * (w_up + w_down) < w_up:
-                    v = int(parent[u])
-                    from_parent = False
-                else:
-                    # collapsed sub-excursion: return visit to u, two steps
-                    steps += 2
-                    dives += 1
-                    rec = records[u]
-                    rec[0] += 1
-                    if steps > step_budget:
-                        raise StepBudgetError(
-                            f"step budget {step_budget} exhausted",
-                            partial=_finalize(records, entry_lists, tree, exc - 1,
-                                              steps, dives, return_steps, False),
-                        )
-                    continue
-            else:
-                fc = int(first_child[u])
-                kids = kid_weights.get(u)
-                if kids is None:
-                    kids = np.exp(np.negative(V[fc : fc + n_children[u]])).tolist()
-                    kid_weights[u] = kids
-                    weight.update(zip(range(fc, fc + len(kids)), kids))
-                total = w_up
-                for w in kids:
-                    total += w
-                r = rand() * total
-                if r < w_up:
-                    v = int(parent[u])
-                    from_parent = False
-                else:
-                    r -= w_up
-                    v = fc + len(kids) - 1
-                    acc = 0.0
-                    for j, w in enumerate(kids):
-                        acc += w
-                        if r < acc:
-                            v = fc + j
-                            break
-                    from_parent = True
-        steps += 1
-        if v == REFLECTOR:
-            return_steps.append(steps)
-            if exc == s:
-                break
-            u = v
-        else:
-            rec = records.get(v)
-            if rec is None:
-                rec = [0, 0, 0, exc, steps, 0]
-                records[v] = rec
-                entry_lists[v] = []
-            rec[0] += 1
-            if from_parent:
-                rec[1] += 1
-                if rec[5] != exc:
-                    rec[2] += 1
-                    rec[5] = exc
-                    entry_lists[v].append(exc)
-            u = v
-        if steps > step_budget:
-            raise StepBudgetError(
-                f"step budget {step_budget} exhausted",
-                partial=_finalize(records, entry_lists, tree, exc - 1, steps,
-                                  dives, return_steps, False),
-            )
-    return _finalize(records, entry_lists, tree, s, steps, dives, return_steps, True)
+            n_kids = tree.n_children[vert]
+            slots = np.arange(n_kids.max(initial=0))
+            has = slots < n_kids[:, None]
+            kid = tree.first_child[vert, None] + slots
+            kid_w = np.zeros(kid.shape)
+            kid_w[has] = np.exp(-V[kid[has]])
+            # weight of slots j.. summed from the last slot, so that it is
+            # never below slot j's own weight
+            rest_w = np.cumsum(kid_w[:, ::-1], axis=1)[:, ::-1]
+            down = rest_w[:, 0] if len(slots) else np.zeros(len(vert))
+        moves = rng.negative_binomial(entries, w_up / (w_up + down))
+        rows.append((exc, vert, entries, moves))
+        go = np.flatnonzero(moves)
+        if g == depth or not go.size:
+            break
+        left, n_kids, kid, kid_w, rest_w = moves[go], n_kids[go], kid[go], kid_w[go], rest_w[go]
+        into = np.zeros(kid.shape, dtype=np.int64)
+        for j in slots:
+            last = np.flatnonzero(n_kids == j + 1)
+            into[last, j] = left[last]
+            mid = np.flatnonzero(n_kids > j + 1)
+            into[mid, j] = rng.binomial(left[mid], kid_w[mid, j] / rest_w[mid, j])
+            left = left - into[:, j]
+        at, slot = np.nonzero(into)
+        exc, vert, entries = exc[go[at]], kid[at, slot], into[at, slot]
+    return _assemble(tree, s, rows)
 
 
-def _finalize(records, entry_lists, tree, s, steps, dives, return_steps, complete):
-    ids = np.array(sorted(records), dtype=np.int64)
-    n = len(ids)
-    local = np.zeros(n, dtype=np.int64)
-    edge = np.zeros(n, dtype=np.int64)
-    excc = np.zeros(n, dtype=np.int64)
-    first_exc = np.zeros(n, dtype=np.int64)
-    first_step = np.zeros(n, dtype=np.int64)
-    entries = []
-    for i, v in enumerate(ids):
-        rec = records[int(v)]
-        local[i] = rec[0]
-        edge[i] = rec[1]
-        excc[i] = rec[2]
-        first_exc[i] = rec[3]
-        first_step[i] = rec[4]
-        entries.append(np.array(entry_lists[int(v)], dtype=np.int64))
+def _assemble(tree, s, rows):
+    """The per-vertex trace of the (excursion, vertex, entries, moves) rows."""
+    exc, vert, entries, moves = (np.concatenate(col) for col in zip(*rows))
+    frontier = tree.gen[vert] == tree.depth
+    # recorded length of excursion e: 2 sum N + 2 dives
+    length = np.bincount(exc, weights=entries + frontier * moves, minlength=s + 1)[1:]
+    return_steps = np.zeros(s + 1, dtype=np.int64)
+    np.cumsum(2 * length.astype(np.int64), out=return_steps[1:])
+    # a stable sort by vertex keeps each vertex's excursions ascending
+    order = np.argsort(vert, kind="stable")
+    exc, vert, entries, visits = exc[order], vert[order], entries[order], (entries + moves)[order]
+    starts = np.flatnonzero(np.r_[True, vert[1:] != vert[:-1]])
+    ids = vert[starts]
+    bounds = np.r_[starts, len(vert)]
     return WalkTrace(
         s=int(s),
-        steps=int(steps),
-        dives=int(dives),
-        return_steps=np.array(return_steps, dtype=np.int64),
+        steps=int(return_steps[-1]),
+        dives=int(moves[frontier].sum()),
+        return_steps=return_steps,
         ids=ids,
-        gens=tree.gen[ids].astype(np.int64) if n else np.zeros(0, dtype=np.int64),
-        local_time=local,
-        edge_local_time=edge,
-        excursion_count=excc,
-        first_excursion=first_exc,
-        first_hit_step=first_step,
-        entry_excursions=entries,
-        root_local_time=int(max(s, 0)),
-        complete=complete,
+        gens=tree.gen[ids].astype(np.int64),
+        local_time=np.add.reduceat(visits, starts),
+        edge_local_time=np.add.reduceat(entries, starts),
+        excursion_count=np.diff(bounds),
+        first_excursion=exc[starts],
+        entry_excursions=[exc[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())],
+        root_local_time=int(s),
     )
-
-
-def excursion_stats(trace: WalkTrace, u: int):
-    """(number of visiting excursions, single-excursion flag, first excursion index)."""
-    i = trace.index_of(u)
-    count = int(trace.excursion_count[i])
-    return count, count == 1, int(trace.first_excursion[i])
 
 
 @dataclass

@@ -81,8 +81,7 @@ class TestSubcommands:
 
 
 # commands that draw (tree, walk, band) replicas; the digests of their
-# artifacts below were taken before the replica driver replaced the
-# per-command loops
+# artifacts below were taken from the branching walk sampler
 REPLICA_COMMANDS = {
     "excursion-classes": ["verify", "excursion-classes", "--n-grid", "2000",
                           "--replicas", "4", "--seed", "8"],
@@ -95,11 +94,11 @@ REPLICA_COMMANDS = {
 
 PINNED_DIGESTS = {
     "simulate": ("range_stats.csv",
-                 "fecb1eb8d8953ff0599ebc27152b2e48dbddba7a109fbb3815bc4d933e45bd2b"),
+                 "19d0c962fb15da986917b67a4afc5a5e14bf851bbfa9c9a0d0571d01dbb6bd79"),
     "genealogy": ("signatures.jsonl",
-                  "4e38741c5831f01230a19498d82a43d1d1a5720445aed18a1d6454ec197b7501"),
+                  "c0a94bb46c68e4cf77d0c509d7c31c0bd55ada882aa96072b4f90d73f0db4243"),
     "constrained-ratio": ("report.json",
-                          "f2587f489748cbd4296e346daacf7a67410e7da74803975aacebed0d8afa16e5"),
+                          "6aabdc592d3a1533170e5ca9008dec3e036c140211916f52839c3d972c25eda6"),
 }
 
 

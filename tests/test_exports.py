@@ -71,3 +71,33 @@ def test_scipy_sparse_imported_only_inside_functions():
             elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 todo.extend(ast.iter_child_nodes(node))
     assert found == []
+
+
+def test_walk_kernel_has_no_step_loop():
+    # the walk advances all excursions one generation at a time; a while
+    # loop in walk.py would be a return of the step-by-step kernel
+    path = Path(gwrange.__file__).parent / "walk.py"
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.While)]
+    assert found == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_step_oracle_imported_only_under_tests():
+    # the step-by-step walk is a test oracle, never a library or benchmark path
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted([*root.glob("src/**/*.py"), *root.glob("bench/**/*.py")]):
+        if any(m.split(".")[-1] == "walk_oracle"
+               for m in _imported_modules(ast.parse(path.read_text()))):
+            found.append(str(path.relative_to(root)))
+    assert found == []
+    assert "walk_oracle" in {m for m in _imported_modules(
+        ast.parse((root / "tests" / "test_walk.py").read_text()))}

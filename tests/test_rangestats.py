@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from functools import partial
 
@@ -82,19 +83,18 @@ class TestGeneralRange:
 
     def test_cap_refusal(self, law):
         # only the per-tuple reference sum has a size cap, and it refuses
-        # before the first tuple: the n = 1e4 band of seed 1, replica 0
+        # before the first tuple: the deepest generation of the n = 1e4 tree
+        # of seed 1, replica 0
         n = 10_000
-        lower, upper = desk_band(law, n)
-        tree = g.generate(law, upper, rng=rngmod.stream(1, f"tree/{n}", 0))
-        trace = run_excursions(tree, 100, rngmod.stream(1, f"walk/{n}", 0))
-        sl = range_slice(trace, tree, lower, upper)
-        assert math.perm(sl.size, 3) > DEFAULT_TUPLE_CAP
+        tree = g.generate(law, desk_band(law, n)[1], rng=rngmod.stream(1, f"tree/{n}", 0))
+        ids = tree.generation_ids(tree.depth)
+        assert math.perm(len(ids), 3) > DEFAULT_TUPLE_CAP
 
         def never_called(t, xs):
             raise AssertionError("a tuple was enumerated")
 
         with pytest.raises(CombinatorialCapError):
-            reference_tuple_sum(sl.tree, sl.ids, 3, never_called)
+            reference_tuple_sum(tree, ids, 3, never_called)
 
     @pytest.mark.parametrize("call", [
         lambda sl, f: g.general_range(sl, 2, f),
@@ -171,7 +171,6 @@ class TestClassification:
             edge_local_time=np.ones(3, dtype=np.int64),
             excursion_count=np.ones(3, dtype=np.int64),
             first_excursion=np.array([2, 2, 5], dtype=np.int64),
-            first_hit_step=np.zeros(3, dtype=np.int64),
             entry_excursions=[np.array([2]), np.array([2]), np.array([5])],
             root_local_time=6,
         )
@@ -210,12 +209,12 @@ class TestClassification:
             assert masses["total"] == sum(counted.values())
 
     def test_masses_memory_stays_small(self, law):
-        # 434 band vertices, 90 of them visited in several excursions: no
+        # 599 band vertices, 116 of them visited in several excursions: no
         # n x n array and no per-pair loop
         tree = g.generate(law, 10, seed=5)
         trace = run_excursions(tree, 400, rngmod.stream(5, "w"))
         sl = range_slice(trace, tree, 5, 10)
-        assert (sl.size, int((sl.excursion_counts() > 1).sum())) == (434, 90)
+        assert (sl.size, int((sl.excursion_counts() > 1).sum())) == (599, 116)
         want = g.excursion_class_masses(sl)  # the first np.unique imports numpy.ma
         tracemalloc.start()
         try:
@@ -342,3 +341,13 @@ class TestUniformSampling:
         assert sl.size == 2
         with pytest.raises(EmptySupportError, match="admissible tuple set is empty"):
             g.sample_uniform_tuple(sl, 2, np.random.default_rng(1))
+
+    def test_empty_support_raises_fast(self):
+        # at the library's own attempt count the exact emptiness check runs
+        # after a hundredth of the rejections, not after all of them
+        tree = g.tree_from_parents([-1, 0, 1], [0.0, 0.2, 0.4])
+        sl = range_slice(run_excursions(tree, 300, rngmod.stream(706, "w")), tree, 1, 2)
+        t0 = time.perf_counter()
+        with pytest.raises(EmptySupportError, match="admissible tuple set is empty"):
+            g.sample_uniform_tuple(sl, 2, np.random.default_rng(1))
+        assert time.perf_counter() - t0 < 0.5

@@ -137,7 +137,7 @@ def test_library_constraints_match_direct_definitions(k):
 
 @pytest.fixture(scope="module")
 def walked_n1e4():
-    """Seed 1 at n = 1e4, replica 0: its desk band holds 189 vertices."""
+    """Seed 1 at n = 1e4, replica 0."""
     law = g.default_law()
     n = 10_000
     tree = g.generate(law, desk_band(law, n)[1], rng=rngmod.stream(1, f"tree/{n}", 0))
@@ -145,7 +145,11 @@ def walked_n1e4():
 
 
 def test_triples_beyond_the_enumeration_cap(walked_n1e4):
-    tree, trace = walked_n1e4
+    # 400 excursions on the same tree: the desk band then holds several
+    # hundred vertices, well past the 172 at which ordered triples exceed
+    # the enumeration cap
+    tree, _ = walked_n1e4
+    trace = run_excursions(tree, 400, rngmod.stream(1, "walk/10000", 0))
     sl = range_slice(trace, tree, *desk_band(g.default_law(), 10_000))
     n = sl.size
     assert n * (n - 1) * (n - 2) > DEFAULT_TUPLE_CAP

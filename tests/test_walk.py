@@ -6,8 +6,9 @@ import pytest
 
 import gwrange as g
 from gwrange import rng as rngmod
-from gwrange.errors import QueryError, StepBudgetError
-from gwrange.theory import map_replicas
+from gwrange.errors import QueryError
+from gwrange.theory import desk_band, map_replicas
+from walk_oracle import excursion_stats, step_excursions
 
 
 def _assert_multinomial(counts, visits, probs):
@@ -110,20 +111,16 @@ class TestRunExcursions:
         assert a.steps == b.steps and a.dives == b.dives
         assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.local_time, b.local_time)
-        assert np.array_equal(a.first_hit_step, b.first_hit_step)
-
-    def test_step_budget(self, medium_tree):
-        with pytest.raises(StepBudgetError) as err:
-            g.run_excursions(medium_tree, 10_000, rngmod.stream(8, "w"), step_budget=50)
-        assert err.value.partial is not None
+        assert np.array_equal(a.return_steps, b.return_steps)
+        assert all(np.array_equal(x, y) for x, y in zip(a.entry_excursions, b.entry_excursions))
 
     def test_simulate_collapse_policy(self, law):
         # the replica driver walks ceil(sqrt(n)) excursions, collapsing dives
         # below a tree truncated at the band's upper edge
         def measure(seed, n, rep, sl):
-            return sl.trace.complete, sl.trace.s, sl.tree.depth
+            return sl.trace.s, len(sl.trace.return_steps), sl.tree.depth
 
-        assert map_replicas(law, 100, 2, 124, (3, 5), measure) == [(True, 10, 5)] * 2
+        assert map_replicas(law, 100, 2, 124, (3, 5), measure) == [(10, 11, 5)] * 2
 
     def test_walk_handles_interior_dead_ends(self):
         # a law with extinction: surviving trees still contain childless
@@ -131,29 +128,30 @@ class TestRunExcursions:
         law = g.generic_law([(0.4, ()), (0.6, (0.1, 0.3, 0.5))])
         tree = g.generate(law, 5, seed=9)
         trace = g.run_excursions(tree, 30, rngmod.stream(10, "w"))
-        assert trace.complete
+        assert trace.s == 30
         assert trace.local_time.sum() + trace.s + trace.dives == trace.steps
 
 
-# sha256 prefixes of walk traces pinned from the walk that read a full
-# exp(-V) array of the tree: (steps, dives, visited, digest of ids, local and
-# edge local times, excursion counts, first excursions, first hit steps,
-# return steps and per-vertex entry excursions).
+# sha256 prefixes of walk traces pinned from the branching sampler (one
+# negative_binomial draw per generation, one binomial per child slot):
+# (steps, dives, visited, digest of ids, local and edge local times,
+# excursion counts, first excursions, return steps and per-vertex entry
+# excursions).
 WALK_DIGESTS = {
-    "default": (g.default_law, 12, 2024, (9750, 381, 703, "706b73466ae2a31c")),
+    "default": (g.default_law, 12, 2024, (9050, 280, 648, "62da19d14ccfcd3b")),
     "mixed": (lambda: g.generic_law([(0.2, (-0.3,)), (0.5, (0.1, 0.6, 1.2)),
                                      (0.3, (0.4, 0.9))]),
-              10, 2024, (168732, 26955, 5910, "1625c3e4a32cffd6")),
+              10, 2024, (199034, 32153, 6178, "a0c0c75b742739f4")),
     "extinct": (lambda: g.generic_law([(0.3, ()), (0.7, (0.2, 0.5))]),
-                12, 3, (14664, 645, 323, "0ef29f30a36d7fd0")),
-    "gaussian": (g.gaussian_law, 12, 2024, (12136, 516, 967, "84b02232e60b0032")),
+                12, 3, (15710, 684, 336, "95b9dfa07fa7d6d4")),
+    "gaussian": (g.gaussian_law, 12, 2024, (9754, 305, 697, "fc9beded558414c3")),
 }
 
 
 def _trace_digest(trace):
     h = hashlib.sha256()
     for a in (trace.ids, trace.local_time, trace.edge_local_time, trace.excursion_count,
-              trace.first_excursion, trace.first_hit_step, trace.return_steps):
+              trace.first_excursion, trace.return_steps):
         h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     for e in trace.entry_excursions:
         h.update(np.ascontiguousarray(e, dtype=np.int64).tobytes())
@@ -180,7 +178,7 @@ class TestWalkDigests:
 class TestExcursionStats:
     def test_root_visited_every_excursion(self, medium_tree):
         trace = g.run_excursions(medium_tree, 15, rngmod.stream(9, "w"))
-        count, single, first = g.excursion_stats(trace, 0)
+        count, single, first = excursion_stats(trace, 0)
         assert count == 15 and not single and first == 1
 
     def test_unknown_vertex_rejected(self, medium_tree):
@@ -189,7 +187,7 @@ class TestExcursionStats:
             x for x in range(medium_tree.size - 1, 0, -1) if not trace.was_visited(x)
         )
         with pytest.raises(QueryError):
-            g.excursion_stats(trace, unvisited)
+            excursion_stats(trace, unvisited)
 
     def test_multi_visit_suppression_in_band(self, law):
         # the band is deep enough that nearly every visited vertex there is
@@ -223,6 +221,61 @@ class TestRangeSlice:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("vertex_id,generation")
         assert len(lines) == len(trace.ids) + 1
+
+
+def _two_sample_z(a, b):
+    """Per column, the gap of the means over its standard error."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    return np.abs(a.mean(axis=0) - b.mean(axis=0)) / se
+
+
+class TestBranchingLaw:
+    """The branching sampler against the step-by-step oracle and an exact
+    identity; every bound is 4 SE."""
+
+    @staticmethod
+    def _band_stats(trace, tree, lower, upper):
+        sl = g.range_slice(trace, tree, lower, upper)
+        counts = sl.excursion_counts()
+        return [sl.size, counts.sum(), trace.steps, trace.dives, (counts == 1).sum()]
+
+    @pytest.mark.parametrize("case", ["default-n1e4", "extinct"])
+    def test_equal_law_with_step_oracle(self, law, case):
+        # fixed trees, independent walks per side: band count, summed
+        # excursion counts over the band, steps, dives and single-excursion
+        # band vertices agree in mean
+        if case == "default-n1e4":
+            lower, upper = desk_band(law, 10**4)
+            tree = g.generate(law, upper, rng=rngmod.stream(1, "tree/10000", 0))
+            s = 100
+        else:
+            lower, upper = 8, 12
+            tree = g.generate(g.generic_law([(0.3, ()), (0.7, (0.2, 0.5))]), upper, seed=2024)
+            s = 60
+        walks = 250
+        fast = [self._band_stats(g.run_excursions(tree, s, rngmod.stream(31, "branching", i)),
+                                 tree, lower, upper) for i in range(walks)]
+        slow = [self._band_stats(step_excursions(tree, s, rngmod.stream(31, "steps", i)),
+                                 tree, lower, upper) for i in range(walks)]
+        z = _two_sample_z(fast, slow)
+        assert (z <= 4.0).all(), z
+
+    def test_generation_entries_match_martingale(self, law):
+        # one excursion enters x e^{-V(x)} times in mean, so the edge local
+        # times of generation g sum to s W_g in mean
+        tree = g.generate(law, 16, seed=5)
+        s, walks, levels = 100, 400, [5, 10, 16]
+        sums = []
+        for i in range(walks):
+            trace = g.run_excursions(tree, s, rngmod.stream(32, "w", i))
+            per_gen = np.bincount(trace.gens, weights=trace.edge_local_time,
+                                  minlength=tree.depth + 1)
+            sums.append(per_gen[levels])
+        sums = np.array(sums)
+        want = np.array([s * g.additive_martingale(tree, lv) for lv in levels])
+        se = sums.std(axis=0, ddof=1) / math.sqrt(walks)
+        assert (np.abs(sums.mean(axis=0) - want) <= 4 * se).all(), (sums.mean(axis=0), want, se)
 
 
 class TestStepScale:
