@@ -21,12 +21,13 @@ Criteria (tolerances pinned here, nothing deferred):
           under 5 min
   ACC-09  band volume per excursion and generation vs the predicted
           constant: non-increasing median absolute deviation over the
-          budget grid, final median relative deviation < 0.35, under 30 min
-          together with ACC-10/11
+          budget grid (96/64/48 replicas), final median relative deviation
+          < 0.35, under 30 min together with ACC-10/11
   ACC-10  mass fraction of band pairs without pairwise-distinct excursions:
-          non-increasing median over the same grid
-  ACC-11  empirical split-generation law of sampled pairs: stable within
-          3 cluster SE between the two largest budgets, monotone in m
+          non-increasing median over the first 24/16/12 of those replicas
+  ACC-11  empirical split-generation law of sampled pairs on ACC-10's
+          replicas: stable within 3 cluster SE between the two largest
+          budgets, monotone in m
   ACC-12  signature partition of unity and split-bound normalization,
           bitwise per tree, exhaustive for k in {2,3} at depth <= 5
   ACC-13  byte-identical artifacts for repeated (config, seed) runs
@@ -53,6 +54,13 @@ P = Partition.make
 ACC_SEED = 1
 GRID = (10_000, 100_000, 1_000_000)
 REPLICAS = {10_000: 24, 100_000: 16, 1_000_000: 12}
+# ACC-09 compares three medians by strict non-increase. At the sizes above,
+# walk noise alone fails that on about one walk draw in four (the grid's own
+# trees, one of 30-40 independent walks per tree, under both the branching
+# sampler and the step kernel); at four times the replicas it fails on about
+# one in fifty. Replica streams are per index, so ACC-10/11 read the first
+# REPLICAS[n] runs of the same draw.
+VOLUME_REPLICAS = {n: 4 * r for n, r in REPLICAS.items()}
 
 
 def report(tag, ok, detail=""):
@@ -77,7 +85,7 @@ def grid_runs(law):
     t0 = time.time()
     runs = {
         n: run_band_experiment(
-            law, n, REPLICAS[n], seed=ACC_SEED, with_classes=True,
+            law, n, VOLUME_REPLICAS[n], seed=ACC_SEED, with_classes=True,
             tuples_per_run=300,
         )
         for n in GRID
@@ -308,7 +316,7 @@ def test_acc10_excursion_class_trend(law, grid_runs):
     medians = []
     for n in GRID:
         fracs = []
-        for r in grid_runs[n]:
+        for r in grid_runs[n][:REPLICAS[n]]:
             m = r.class_masses
             if m["total"]:
                 fracs.append((m["same-single"] + m["mixed"]) / m["total"])
@@ -325,7 +333,7 @@ def test_acc11_split_cdf_stabilization(law, grid_runs):
     mono = True
     for n in GRID:
         per_run = []
-        for r in grid_runs[n]:
+        for r in grid_runs[n][:REPLICAS[n]]:
             if r.split_samples:
                 arr = np.asarray(r.split_samples)
                 per_run.append([(arr <= m).mean() for m in ms])
