@@ -70,14 +70,12 @@ from .tree import (
     VirtualLeaf,
     additive_martingale,
     ancestor_at,
-    conductance_H,
     enumerate_delta_k,
     generate,
     is_ancestor,
     load_snapshot,
     mrca,
     mrca_generation,
-    partial_H,
     save_snapshot,
     tree_from_parents,
 )

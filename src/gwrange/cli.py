@@ -99,6 +99,28 @@ def _parse_constraint(ident, k):
     raise ValueError(f"unknown constraint id {ident!r}")
 
 
+def _constraint_id(args, cp):
+    return args.constraint or cp.get("experiment", "constraint", fallback="one")
+
+
+def _argument_problem(args, cp):
+    """Why the arguments cannot run, or None; checked before any work."""
+    if args.command == "oracle" and (args.cases < 1 or args.depth_max < 3):
+        return (f"need --cases >= 1 and --depth-max >= 3, got {args.cases} "
+                f"and {args.depth_max}")
+    if args.command in ("simulate", "genealogy", "verify") and args.k < 2:
+        return f"need --k >= 2, got {args.k}"
+    if args.command == "verify":
+        if args.replicas is not None and args.replicas < 2:
+            return f"need --replicas >= 2, got {args.replicas}"
+        ident = _constraint_id(args, cp)
+        try:
+            _parse_constraint(ident, args.k)
+        except (ValueError, GwrangeError) as err:
+            return f"bad --constraint {ident!r}: {err}"
+    return None
+
+
 def _json_dump(obj, path):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -269,9 +291,7 @@ def _cmd_verify(args, cp, law, outdir):
                                       seed=args.seed)
     else:
         k = args.k
-        constraint = _parse_constraint(
-            args.constraint or (cp.get("experiment", "constraint", fallback="one")), k
-        )
+        constraint = _parse_constraint(_constraint_id(args, cp), k)
         bands = _bands(cp, law, grid)
         reps = args.replicas or {10_000: 24, 100_000: 16, 1_000_000: 12}
         report = limit_report(
@@ -291,10 +311,6 @@ def _cmd_verify(args, cp, law, outdir):
 
 
 def _cmd_oracle(args, cp, law, outdir):
-    if args.cases < 1 or args.depth_max < 3:
-        print(f"oracle: need --cases >= 1 and --depth-max >= 3, got {args.cases} "
-              f"and {args.depth_max}", file=sys.stderr)
-        return 2
     worst = 0.0
     rows = []
     for case in range(args.cases):
@@ -388,6 +404,11 @@ def main(argv=None) -> int:
         os.makedirs(outdir, exist_ok=True)
         _write_manifest(outdir, args, "", "config-error", failure=str(err))
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    problem = _argument_problem(args, cp)
+    if problem is not None:
+        _write_manifest(outdir, args, config_text, "failed", failure=problem)
+        print(f"{args.command}: {problem}", file=sys.stderr)
         return 2
     try:
         status = _HANDLERS[args.command](args, cp, law, outdir)

@@ -101,12 +101,6 @@ class Partition:
     def __len__(self):
         return len(self.blocks)
 
-    def block_of(self, i: int) -> tuple:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise SignatureError(f"{i} not in ground set")
-
     def refines(self, other: "Partition") -> bool:
         """True when every block here is contained in a block of other."""
         where = {}
@@ -117,9 +111,6 @@ class Partition:
             if len({where[i] for i in b}) != 1:
                 return False
         return True
-
-    def relabel(self, perm: dict) -> "Partition":
-        return Partition.make([[perm[i] for i in b] for b in self.blocks])
 
 
 def enumerate_partitions(ground):

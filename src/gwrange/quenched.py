@@ -122,7 +122,7 @@ def quenched_mean_quasi_independent(
         return 0.0
     top = min(upper, tree.depth)
     band = np.arange(tree.gen_offsets[min(lower, top + 1)], tree.gen_offsets[top + 1])
-    H = np.concatenate(conductance_levels(*tree.levels(top)))
+    H = np.concatenate(conductance_levels(tree.levels(top)))
     weight = tree.exp_neg_v[band] / H[band]
     if warmup is not None:
         f = _within_warmup(f, warmup)
@@ -183,7 +183,7 @@ def phi(
     vals = []
     for f in sample_forest(law, d, replicas, rng):
         e = np.exp(-f.V[-1])
-        h = conductance_levels(f.V, f.parent)[-1]
+        h = conductance_levels(f)[-1]
         vals.append(f.tree_sums(e / ((r - 1.0) * e + h)))
     vals = np.concatenate(vals)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))

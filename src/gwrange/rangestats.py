@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CombinatorialCapError, EmptySupportError
-from .tree import MarkedTree, enumerate_delta_k, is_ancestor
+from .tree import Forest, MarkedTree, enumerate_delta_k, is_ancestor
 from .walk import RangeSlice, WalkTrace
 from .genealogy import (
     Constraint,
@@ -32,8 +32,8 @@ from .genealogy import (
 
 __all__ = [
     "RangeStat",
-    "AncestorForest",
     "signature_sum",
+    "vertex_forest",
     "reference_tuple_sum",
     "tuple_sum",
     "general_range",
@@ -62,65 +62,6 @@ class RangeStat:
     normalization: float
     constraint: str
     k: int
-
-
-@dataclass(frozen=True)
-class AncestorForest:
-    """Induced ancestor forest of a point set, compact labels per generation.
-
-    Generation g holds ``sizes[g]`` labels; ``up[g]`` maps each of them to
-    its parent's label at g - 1 (``up[0]`` is empty: generation-0 labels
-    are the roots). Point i sits at generation ``point_gen[i]`` with label
-    ``point_label[i]``; per-slot weight arrays are aligned with the points.
-    """
-
-    up: tuple
-    sizes: tuple
-    point_gen: np.ndarray
-    point_label: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return len(self.sizes) - 1
-
-    @classmethod
-    def of_vertices(cls, tree: MarkedTree, ids) -> "AncestorForest":
-        """Ancestors of tree vertices ``ids`` (any generations), one root."""
-        ids = np.asarray(ids, dtype=np.int64)
-        gens = tree.gen[ids].astype(np.int64)
-        anc = tree.ancestor_matrix(ids)[:, : int(gens.max(initial=0)) + 1]
-        verts = [np.unique(col[col >= 0]) for col in anc.T]
-        up = (np.zeros(0, dtype=np.int64),) + tuple(
-            np.searchsorted(verts[g - 1], tree.parent[verts[g]]) for g in range(1, len(verts))
-        )
-        # tree ids run in generation order, so the concatenation is sorted
-        offsets = np.cumsum([0] + [len(v) for v in verts])
-        labels = np.searchsorted(np.concatenate(verts), ids) - offsets[gens]
-        return cls(up, tuple(len(v) for v in verts), gens, labels)
-
-    @classmethod
-    def of_levels(cls, parents) -> "AncestorForest":
-        """Forest from per-level parent rows (``parents[0]`` one entry per
-        root); the points are the labels of the deepest level."""
-        n = len(parents[-1])
-        return cls((np.zeros(0, dtype=np.int64),) + tuple(parents[1:]),
-                   tuple(len(p) for p in parents), np.full(n, len(parents) - 1), np.arange(n))
-
-    def roll_up(self, vals: np.ndarray, g: int, a: int) -> np.ndarray:
-        """Sum generation-g values over the descendants of each generation-a label."""
-        for h in range(g, a, -1):
-            vals = np.bincount(self.up[h], weights=vals, minlength=self.sizes[h - 1])
-        return vals
-
-    def subtree_sums(self, w: np.ndarray) -> list:
-        """Per generation g, the point-weight total below each label."""
-        offsets = np.cumsum((0,) + self.sizes)
-        own = np.bincount(offsets[self.point_gen] + self.point_label, weights=w,
-                          minlength=offsets[-1])
-        out = [own[offsets[-2]:]]
-        for g in range(self.depth, 0, -1):
-            out.insert(0, own[offsets[g - 1] : offsets[g]] + self.roll_up(out[0], g, g - 1))
-        return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -154,10 +95,10 @@ def _plan_sum(forest, plan, times, anchor, sub):
         return sub[plan - 1][anchor]
     p, parts = plan
     t = times[p - 1]
-    if t > forest.depth:
-        return np.zeros(forest.sizes[anchor])
+    if t >= len(forest.V):
+        return np.zeros(len(forest.V[anchor]))
     kids = [_plan_sum(forest, c, times, t, sub) for c in parts]
-    up, n = forest.up[t], forest.sizes[t - 1]
+    up, n = forest.parent[t], len(forest.V[t - 1])
     # sum over ordered distinct children c_1..c_r of prod kids[i][c_i]
     sums = {}
     total = 0.0
@@ -175,24 +116,37 @@ def _plan_sum(forest, plan, times, anchor, sub):
 
 
 def _slot_sums(forest, k, weights):
-    """Per slot, the subtree sums of its weights (default all ones)."""
-    if weights is None:
-        weights = [np.ones(len(forest.point_gen))] * k
+    """Per slot, the subtree sums of its per-level weights."""
     if len(weights) != k:
         raise ValueError("need one weight array per slot")
     return [forest.subtree_sums(w) for w in weights]
 
 
-def signature_sum(forest: AncestorForest, times, coll, weights=None) -> np.ndarray:
-    """Per-root sum of prod_i weights[i](x_i) over admissible ordered
-    k-tuples of the forest's points with signature (times, coll).
+def signature_sum(forest: Forest, times, coll, weights) -> np.ndarray:
+    """Per-root sum of prod_i weights[i](x_i) over the ordered k-tuples of
+    distinct, pairwise non-ancestral forest vertices with signature
+    (times, coll).
 
-    ``weights`` holds one array per slot aligned with the points (default
-    all ones). Unit weights give exact integer counts below 2^53.
+    ``weights[i]`` holds slot i's weights level by level (``weights[i][g]``
+    aligned with ``forest.V[g]``, or 0 on a level without weight); tuples
+    with a zero-weight slot add nothing. Integer weights give exact counts
+    below 2^53.
     """
     times = GenealogySignature(tuple(int(t) for t in times), coll).times
     sub = _slot_sums(forest, coll.k, weights)
     return _plan_sum(forest, _split_plan(coll), times, 0, sub)
+
+
+def vertex_forest(tree: MarkedTree, ids, weights):
+    """The ancestor forest of vertices ``ids``
+    (:meth:`MarkedTree.ancestor_forest`), and each weight array aligned with
+    ``ids`` laid out on its levels: 0 at the ancestors outside ``ids``."""
+    forest, labels = tree.ancestor_forest(ids)
+    # tree ids run in generation order, so the levels concatenate sorted
+    ends = np.cumsum([len(lab) for lab in labels])
+    at = np.searchsorted(np.concatenate(labels), ids)
+    return forest, [np.split(np.bincount(at, weights=w, minlength=ends[-1]), ends[:-1])
+                    for w in weights]
 
 
 def _check_constraint(f) -> None:
@@ -245,13 +199,15 @@ def tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None) -> float:
     sum it tuple by tuple with :func:`reference_tuple_sum`, under its cap.
     """
     _check_constraint(f)
-    forest = AncestorForest.of_vertices(tree, ids)
+    if weights is None:
+        weights = [np.ones(len(ids))] * k
+    forest, weights = vertex_forest(tree, ids, weights)
     sub = _slot_sums(forest, k, weights)
     value = None if f is None else f.by_signature
     # a split at time t needs a generation-(t-1) label with two children
     split_times = [
-        t for t in range(1, forest.depth + 1)
-        if len(forest.up[t]) and np.bincount(forest.up[t]).max() >= 2
+        t for t in range(1, len(forest.V))
+        if len(forest.parent[t]) and np.bincount(forest.parent[t]).max() >= 2
     ]
     total = 0.0
     for d in range(1, k):

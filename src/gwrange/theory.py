@@ -37,7 +37,6 @@ from .genealogy import (
     pairwise_split_requirements,
 )
 from .rangestats import (
-    AncestorForest,
     excursion_class_masses,
     general_range,
     reference_tuple_sum,
@@ -45,13 +44,13 @@ from .rangestats import (
     signature_sum,
     weighted_range_A_l,
 )
+from . import tree as treemod
 from .tree import additive_martingale, generate, sample_forest
 from .walk import range_slice, run_excursions
 
 __all__ = [
     "esp_partition_law",
     "estimate_esp_partition",
-    "pairwise_split_requirements",
     "desk_band",
     "BandRun",
     "map_replicas",
@@ -152,7 +151,7 @@ def estimate_esp_partition(
     if coll.k != k or len(svec) != coll.depth:
         raise SignatureError("collection/split-time shape mismatch")
     per_tree = np.concatenate([
-        signature_sum(AncestorForest.of_levels(f.parent), svec, coll, [np.exp(-f.V[-1])] * k)
+        signature_sum(f, svec, coll, [[0.0] * svec[-1] + [np.exp(-f.V[-1])]] * k)
         if fast else _reference_sums(f, k, svec, coll)
         for f in sample_forest(law, svec[-1], replicas, rng)
     ])
@@ -171,7 +170,10 @@ def _reference_sums(forest, k, svec, coll):
     for i in np.flatnonzero(np.diff(ends) >= k):  # fewer than k vertices sum to 0
         t = forest.tree(int(i))
         ids = t.generation_ids(depth)
-        anc = t.ancestor_matrix(ids).T.tolist()
+        anc = [ids]  # the ancestors of ids, climbed one generation at a time
+        for _ in range(depth):
+            anc.insert(0, t.parent[anc[0]])
+        anc = [a.tolist() for a in anc]
         first = int(ids[0])
 
         def has_signature(tree, xs):
@@ -194,11 +196,11 @@ def _reference_sums(forest, k, svec, coll):
 _DESK_TABLE = {10_000: (13, 16), 100_000: (17, 20), 1_000_000: (21, 22)}
 
 
-def desk_band(law: EnvironmentLaw, n: int, node_cap: int = 30_000_000):
+def desk_band(law: EnvironmentLaw, n: int):
     """(lower, upper) generation band for budget n at desk scale.
 
     Grows like 1.5 log n; the upper edge doubles as the truncation depth
-    and is capped by the expected-node budget.
+    and is capped by the expected-node budget ``tree.DEFAULT_NODE_CAP``.
     """
     if n in _DESK_TABLE:
         lower, upper = _DESK_TABLE[n]
@@ -206,7 +208,7 @@ def desk_band(law: EnvironmentLaw, n: int, node_cap: int = 30_000_000):
         lower = max(3, int(math.ceil(1.5 * math.log(n))))
         upper = lower + 3
     mu = max(law.mean_offspring, 1.0 + 1e-9)
-    max_depth = int(math.floor(math.log(node_cap / 4.0) / math.log(mu)))
+    max_depth = int(math.floor(math.log(treemod.DEFAULT_NODE_CAP / 4.0) / math.log(mu)))
     upper = min(upper, max_depth)
     lower = min(lower, upper)
     if lower > math.sqrt(n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .errors import AncestryError, QueryError, ResourceLimitError
+from .errors import QueryError, ResourceLimitError
 from .environment import EnvironmentLaw, law_to_text, law_from_text
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "mrca",
     "mrca_generation",
     "additive_martingale",
-    "conductance_H",
-    "partial_H",
     "conductance_levels",
     "Forest",
     "sample_forest",
@@ -117,30 +115,33 @@ class MarkedTree:
             cur = self.parent[cur]
         return out
 
-    def ancestor_matrix(self, ids: np.ndarray) -> np.ndarray:
-        """Ancestor ids of each vertex at every level, shape (len(ids), depth+1).
+    def levels(self, top: int) -> "Forest":
+        """Generations 0..top as a one-tree :class:`Forest`."""
+        off = self.gen_offsets
+        parent = [np.full(1, PARENT_OF_ROOT)]
+        parent += [self.parent[off[g] : off[g + 1]] - off[g - 1] for g in range(1, top + 1)]
+        return Forest(tuple(self.V[off[g] : off[g + 1]] for g in range(top + 1)),
+                      tuple(parent), tuple(np.zeros(len(p), dtype=np.int64) for p in parent))
 
-        Entry [i, g] is the generation-g ancestor of ids[i], or -2 when the
-        vertex is shallower than g.
+    def ancestor_forest(self, ids):
+        """The ancestors of vertices ``ids`` (any generations, themselves
+        included) as a one-tree :class:`Forest` down to the deepest of them,
+        and the ascending ids of each of its levels.
+
+        Level g is ``ids`` at generation g and the parents of level g+1: it
+        is climbed from the deepest generation up, one ``np.unique`` each.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        out = np.full((len(ids), self.depth + 1), -2, dtype=np.int64)
-        cur = ids.copy()
-        gens = self.gen[ids].astype(np.int64)
-        for g in range(self.depth, -1, -1):
-            active = gens >= g
-            deeper = gens > g
-            cur[deeper] = self.parent[cur[deeper]]
-            gens[deeper] = g
-            out[active & (gens == g), g] = cur[active & (gens == g)]
-        return out
-
-    def levels(self, top: int):
-        """Generations 0..top in the level layout of :class:`Forest`: the
-        potentials, and the parent rows in the level above (none at level 0)."""
-        off = self.gen_offsets
-        parent = [self.parent[off[g] : off[g + 1]] - off[g - 1] for g in range(1, top + 1)]
-        return [self.V[off[g] : off[g + 1]] for g in range(top + 1)], [None] + parent
+        gens = self.gen[ids]
+        deepest = int(gens.max(initial=0))
+        labels = [np.unique(ids[gens == deepest])]
+        for g in range(deepest - 1, -1, -1):
+            labels.insert(0, np.unique(np.concatenate((ids[gens == g], self.parent[labels[0]]))))
+        parent = [np.full(len(labels[0]), PARENT_OF_ROOT)]
+        parent += [np.searchsorted(labels[g - 1], self.parent[labels[g]])
+                   for g in range(1, len(labels))]
+        return Forest(tuple(self.V[lab] for lab in labels), tuple(parent),
+                      tuple(np.zeros(len(lab), dtype=np.int64) for lab in labels)), labels
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +288,9 @@ def _generate_once(law, depth, rng, seed, attempt, node_cap):
 
 @dataclass(frozen=True)
 class Forest:
-    """One block of independent trees, stored level by level: level g lists
+    """Trees stored level by level: a block of :func:`sample_forest`, the top
+    of a :class:`MarkedTree` (:meth:`~MarkedTree.levels`) or the ancestors
+    of a vertex set (:meth:`~MarkedTree.ancestor_forest`). Level g lists
     the generation-g vertices of every tree, grouped by tree in tree order.
     ``V[g]`` holds their potentials, ``parent[g]`` the row of each one's
     parent in level g-1 (-1 at the roots) and ``root[g]`` the row of its
@@ -302,6 +305,20 @@ class Forest:
         """Per tree, the sum of ``values`` over its vertices of the deepest
         level (0 for a tree that died out)."""
         return np.bincount(self.root[-1], weights=values, minlength=len(self.V[0]))
+
+    def roll_up(self, vals: np.ndarray, g: int, a: int) -> np.ndarray:
+        """Sum level-g values over the descendants of each level-a vertex."""
+        for h in range(g, a, -1):
+            vals = np.bincount(self.parent[h], weights=vals, minlength=len(self.V[h - 1]))
+        return vals
+
+    def subtree_sums(self, own) -> list:
+        """Per level, the total of the per-level weights ``own`` over each
+        vertex's subtree; ``own[g]`` may be 0 on a level without weight."""
+        out = [own[-1]]
+        for g in range(len(self.V) - 1, 0, -1):
+            out.insert(0, own[g - 1] + self.roll_up(out[0], g, g - 1))
+        return out
 
     def tree(self, i: int) -> MarkedTree:
         """Tree ``i`` as a :class:`MarkedTree` down to its last nonempty
@@ -464,29 +481,15 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(m + math.log(np.exp(a - m).sum()))
 
 
-def conductance_H(tree: MarkedTree, x: int) -> float:
-    """H_x = sum over root..x of exp(V(w) - V(x)); always >= 1."""
-    chain = tree.ancestor_chain(x)
-    return math.exp(_logsumexp(tree.V[chain] - tree.V[x]))
-
-
-def partial_H(tree: MarkedTree, u: int, x: int) -> float:
-    """Path sum over u..x of exp(V(w) - V(x)) for an ancestor u of x."""
-    if not is_ancestor(tree, u, x):
-        raise AncestryError(f"{u} is not an ancestor-or-equal of {x}")
-    chain = tree.ancestor_chain(x)
-    seg = chain[int(tree.gen[u]) :]
-    return math.exp(_logsumexp(tree.V[seg] - tree.V[x]))
-
-
-def conductance_levels(V, parent) -> list:
-    """H per level of a tree or forest in the level layout of :class:`Forest`
-    (``parent[0]`` is not read): 1 at the roots, and H_x = 1 + exp(V(parent)
-    - V(x)) H_parent below, which equals :func:`conductance_H` up to rounding.
+def conductance_levels(forest: Forest) -> list:
+    """H per level of a :class:`Forest`: 1 at the roots, and H_x = 1 +
+    exp(V(parent) - V(x)) H_parent below, which equals the path sum over
+    root..x of exp(V(w) - V(x)) up to rounding.
     """
+    V = forest.V
     H = [np.ones(len(V[0]))]
     for g in range(1, len(V)):
-        p = parent[g]
+        p = forest.parent[g]
         H.append(1.0 + np.exp(V[g - 1][p] - V[g]) * H[-1][p])
     return H
 

@@ -81,12 +81,13 @@ def c_inf(law):
 
 @pytest.fixture(scope="module")
 def grid_runs(law):
-    """Shared (tree, walk) replicas over the budget grid for ACC-09/10/11."""
+    """Shared (tree, walk) replicas over the budget grid for ACC-09/10/11,
+    drawn on two worker processes (replicas are identical for any count)."""
     t0 = time.time()
     runs = {
         n: run_band_experiment(
             law, n, VOLUME_REPLICAS[n], seed=ACC_SEED, with_classes=True,
-            tuples_per_run=300,
+            tuples_per_run=300, threads=2,
         )
         for n in GRID
     }

@@ -151,6 +151,24 @@ class TestFailureHandling:
         assert manifest["status"] == "failed"
         assert "band" in manifest["failure"]
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "constrained-ratio", "--constraint", "bogus"],
+        ["verify", "constrained-ratio", "--constraint", "f_m:x"],
+        ["simulate", "--k", "1"],
+        ["verify", "band-volume", "--replicas", "1"],
+        ["verify", "split-cdf", "--replicas", "1"],
+    ], ids=["unknown-constraint", "bad-constraint-argument", "simulate-k1",
+            "band-volume-one-replica", "split-cdf-one-replica"])
+    def test_bad_arguments_refused_before_work(self, tmp_path, capsys, args):
+        # one line on stderr, exit 2 and a manifest, with no replica drawn
+        code = run(args + ["--n-grid", "2000,4000", "--seed", "3"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{args[0]}: ") and err.count("\n") == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["failure"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("GWRANGE_OUT", str(target))

@@ -8,6 +8,7 @@ import gwrange as g
 from gwrange import rng as rngmod
 from gwrange.errors import AncestryError
 from gwrange.quenched import cross_check, phi
+from conductance_oracle import conductance_H
 
 
 class TestClosedForm:
@@ -120,8 +121,8 @@ class TestQuenchedMeanQuasiIndependent:
         t = g.tree_from_parents([-1, 0, 0], [0.0, 0.2, 0.5])
         s = 7
         val = g.quenched_mean_quasi_independent(t, 1, 1, s, 2)
-        wu = t.exp_neg_v[1] / g.conductance_H(t, 1)
-        wv = t.exp_neg_v[2] / g.conductance_H(t, 2)
+        wu = t.exp_neg_v[1] / conductance_H(t, 1)
+        wv = t.exp_neg_v[2] / conductance_H(t, 2)
         assert val == pytest.approx(2 * s * (s - 1) * wu * wv, rel=1e-12)
 
     def test_single_excursion_gives_zero(self):

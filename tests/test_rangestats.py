@@ -96,6 +96,24 @@ class TestGeneralRange:
         with pytest.raises(CombinatorialCapError):
             reference_tuple_sum(tree, ids, 3, never_called)
 
+    def test_band_sum_memory_stays_small(self, law):
+        # all of generations 13-16, 393,776 vertices: a dense (vertices x 17)
+        # int64 ancestor array alone would take 54 MB
+        tree = g.generate(law, 16, seed=5)
+        ids = np.arange(tree.gen_offsets[13], tree.gen_offsets[17])
+        assert len(ids) == 393_776
+        tuple_sum(tree, ids[:10], 2)  # the first np.unique imports numpy.ma
+        tracemalloc.start()
+        try:
+            total = tuple_sum(tree, ids, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each band vertex has one band ancestor per generation above 13
+        n = len(ids)
+        assert total == n * (n - 1) - 2 * int((tree.gen[ids] - 13).sum())
+        assert peak < 40 * 2**20, peak
+
     @pytest.mark.parametrize("call", [
         lambda sl, f: g.general_range(sl, 2, f),
         lambda sl, f: tuple_sum(sl.tree, sl.ids, 2, f),

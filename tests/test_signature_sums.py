@@ -15,11 +15,12 @@ from gwrange.genealogy import constant_one, enumerate_increasing_collections
 from gwrange.quenched import _within_warmup
 from gwrange.rangestats import (
     DEFAULT_TUPLE_CAP,
-    AncestorForest,
     reference_tuple_sum,
     signature_sum,
+    vertex_forest,
 )
 from gwrange.theory import desk_band
+from gwrange.tree import Forest
 from gwrange.walk import range_slice, run_excursions
 
 _TREES = [g.generate(g.default_law(), depth, seed=seed)
@@ -58,8 +59,7 @@ def test_engine_matches_brute_force_per_signature(data):
     # scale of the terms the Moebius sums cancel: every ordered k-tuple of
     # ids, repeats and ancestral pairs included
     total = math.prod(float(w[ids].sum()) for w in weights)
-    forest = AncestorForest.of_vertices(tree, ids)
-    local = [w[ids] for w in weights]
+    forest, local = vertex_forest(tree, ids, [w[ids] for w in weights])
     for times, coll in _signatures(k, tree.depth):
         got = signature_sum(forest, times, coll, local)
         assert got.shape == (1,)
@@ -75,21 +75,21 @@ def test_forest_roots_are_trees():
     # two trees side by side: per-root sums equal the per-tree sums
     a, b = _TREES[0], _TREES[2]
     depth = 3
-    parents = [np.arange(2)]
-    for gen in range(1, depth + 1):
-        pa = a.parent[a.generation_ids(gen)] - a.gen_offsets[gen - 1]
-        pb = b.parent[b.generation_ids(gen)] - b.gen_offsets[gen - 1]
-        parents.append(np.concatenate([pa, pb + a.generation_size(gen - 1)]))
-    forest = AncestorForest.of_levels(parents)
-    w = np.concatenate([a.exp_neg_v[a.generation_ids(depth)],
-                        b.exp_neg_v[b.generation_ids(depth)]])
+    fa, fb = a.levels(depth), b.levels(depth)
+    forest = Forest(
+        tuple(np.concatenate(v) for v in zip(fa.V, fb.V)),
+        (np.full(2, -1),) + tuple(np.concatenate([pa, pb + len(va)])
+                                  for pa, pb, va in zip(fa.parent[1:], fb.parent[1:], fa.V)),
+        tuple(np.concatenate([ra, rb + 1]) for ra, rb in zip(fa.root, fb.root)),
+    )
+    w = [0.0] * depth + [np.exp(-forest.V[depth])]
     for times, coll in _signatures(3, depth):
         got = signature_sum(forest, times, coll, [w] * 3)
         for root, t in enumerate((a, b)):
             ids = t.generation_ids(depth)
-            one = AncestorForest.of_vertices(t, ids)
+            one, local = vertex_forest(t, ids, [t.exp_neg_v[ids]] * 3)
             assert got[root] == pytest.approx(
-                signature_sum(one, times, coll, [t.exp_neg_v[ids]] * 3)[0], rel=1e-12, abs=0
+                signature_sum(one, times, coll, local)[0], rel=1e-12, abs=0
             )
 
 

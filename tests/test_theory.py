@@ -5,11 +5,11 @@ import pytest
 import gwrange as g
 from gwrange import rng as rngmod
 from gwrange import environment, theory
+from gwrange import tree as treemod
 from gwrange.errors import DomainError, ScheduleInfeasibleError, SignatureError
-from gwrange.genealogy import IncreasingCollection, Partition
+from gwrange.genealogy import IncreasingCollection, Partition, pairwise_split_requirements
 from gwrange.theory import (
     desk_band,
-    pairwise_split_requirements,
     signature_sum_identity,
     split_bound_sum_identity,
 )
@@ -202,8 +202,9 @@ class TestDeskBand:
         with pytest.raises(ScheduleInfeasibleError):
             desk_band(law, 16)
 
-    def test_depth_capped_by_node_budget(self, law):
-        lo, hi = desk_band(law, 10**9, node_cap=2**20)
+    def test_depth_capped_by_node_budget(self, law, monkeypatch):
+        monkeypatch.setattr(treemod, "DEFAULT_NODE_CAP", 2**20)
+        lo, hi = desk_band(law, 10**9)
         assert hi <= 18
 
 

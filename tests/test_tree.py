@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
 import gwrange as g
@@ -10,7 +11,10 @@ from gwrange import rng as rngmod
 from gwrange import tree as treemod
 from gwrange.errors import AncestryError, QueryError, ResourceLimitError
 from gwrange.tree import VirtualLeaf, conductance_levels
+from conductance_oracle import conductance_H, partial_H
 from test_walk import WALK_DIGESTS
+
+_ANCESTRY_TREE = g.generate(g.default_law(), 6, seed=101)
 
 
 class TestGeneration:
@@ -212,36 +216,44 @@ class TestAncestry:
         with pytest.raises(QueryError):
             g.ancestor_at(small_tree, x, 5)
 
-    def test_ancestor_matrix_matches_chains(self, small_tree):
-        ids = small_tree.generation_ids(5)[:8]
-        mat = small_tree.ancestor_matrix(ids)
-        for i, x in enumerate(ids):
-            chain = small_tree.ancestor_chain(int(x))
-            for gn, node in enumerate(chain):
-                assert mat[i, gn] == node
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.integers(0, _ANCESTRY_TREE.size - 1), max_size=12))
+    def test_ancestor_forest_matches_chains(self, ids):
+        t = _ANCESTRY_TREE
+        forest, labels = t.ancestor_forest(ids)
+        chains = [t.ancestor_chain(x) for x in ids]
+        assert len(labels) == len(forest.V) == max([len(c) for c in chains], default=1)
+        for gn, lab in enumerate(labels):
+            assert lab.tolist() == sorted({int(c[gn]) for c in chains if len(c) > gn})
+            assert np.array_equal(forest.V[gn], t.V[lab])
+            assert not forest.root[gn].any()
+            if gn:
+                assert np.array_equal(labels[gn - 1][forest.parent[gn]], t.parent[lab])
+            else:
+                assert (forest.parent[0] == -1).all()
 
 
 class TestConductance:
     def test_root_value(self, small_tree):
-        assert g.conductance_H(small_tree, 0) == pytest.approx(1.0, abs=1e-15)
+        assert conductance_H(small_tree, 0) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_term_path(self, small_tree):
         c = int(small_tree.children(0)[0])
         v = small_tree.V[c]
-        assert g.conductance_H(small_tree, c) == pytest.approx(
+        assert conductance_H(small_tree, c) == pytest.approx(
             math.exp(-v) + 1.0, rel=1e-12
         )
 
     def test_always_at_least_one(self, medium_tree):
-        H = conductance_levels(*medium_tree.levels(medium_tree.depth))
+        H = conductance_levels(medium_tree.levels(medium_tree.depth))
         assert all((h >= 1.0).all() for h in H)
 
     def test_level_recursion_matches_scalar(self, medium_tree):
         t = medium_tree
-        H = np.concatenate(conductance_levels(*t.levels(t.depth)))
+        H = np.concatenate(conductance_levels(t.levels(t.depth)))
         assert len(H) == t.size
         for x in range(t.size):
-            assert H[x] == pytest.approx(g.conductance_H(t, x), rel=1e-12, abs=0)
+            assert H[x] == pytest.approx(conductance_H(t, x), rel=1e-12, abs=0)
 
     def test_decomposition_identity(self, medium_tree):
         t = medium_tree
@@ -250,16 +262,16 @@ class TestConductance:
             x = int(x)
             chain = t.ancestor_chain(x)
             u = int(chain[rng.integers(1, len(chain))])
-            lhs = g.conductance_H(t, x)
-            rhs = (g.conductance_H(t, u) - 1.0) * math.exp(-(t.V[x] - t.V[u])) + (
-                g.partial_H(t, u, x)
+            lhs = conductance_H(t, x)
+            rhs = (conductance_H(t, u) - 1.0) * math.exp(-(t.V[x] - t.V[u])) + (
+                partial_H(t, u, x)
             )
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_partial_requires_ancestry(self, small_tree):
         a, b = (int(v) for v in small_tree.generation_ids(3)[:2])
         with pytest.raises(AncestryError):
-            g.partial_H(small_tree, a, b)
+            partial_H(small_tree, a, b)
 
 
 class TestMartingale:
