@@ -72,6 +72,7 @@ from .tree import (
     ancestor_at,
     enumerate_delta_k,
     generate,
+    grow,
     is_ancestor,
     load_snapshot,
     mrca,

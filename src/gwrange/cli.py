@@ -50,7 +50,12 @@ from .environment import (
 from .errors import GwrangeError, ScheduleInfeasibleError
 from .genealogy import coalescent_times, make_F_ell_s, make_f_lambda, make_f_m
 from .quenched import hit_before_return, hit_before_return_oracle
-from .rangestats import excursion_class_masses, general_range, sample_uniform_tuple
+from .rangestats import (
+    delta_k_count,
+    excursion_class_masses,
+    general_range,
+    sample_uniform_tuple,
+)
 from .theory import desk_band, limit_report, local_time_law_probe, map_replicas, tuple_stream
 from .tree import generate, save_snapshot
 from .walk import trace_to_csv
@@ -255,8 +260,9 @@ def _cmd_simulate(args, cp, law, outdir):
 
 
 def _genealogy_measure(k, tuples, seed, n, rep, sl):
-    """Signatures of ``tuples`` uniform k-tuples of one replica's band."""
-    if sl.size < k:
+    """Signatures of ``tuples`` uniform k-tuples of one replica's band, none
+    when the band has no admissible k-tuple."""
+    if sl.size < k or not delta_k_count(sl, k):
         return []
     srng = tuple_stream(seed, n, rep)
     return [coalescent_times(sl.tree, sample_uniform_tuple(sl, k, srng))

@@ -121,6 +121,11 @@ class EnvironmentLaw:
         return max((len(d) for _, d in self.atoms), default=0)
 
     @property
+    def can_die_out(self) -> bool:
+        """True when some atom of positive mass has no children."""
+        return any(p > 0.0 and not d for p, d in self.atoms)
+
+    @property
     def ellipticity_bound(self) -> float:
         """Uniform lower bound -h on displacements; inf when unbounded below."""
         if self.family == "gaussian":

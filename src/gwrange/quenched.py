@@ -18,7 +18,7 @@ import numpy as np
 from .environment import EnvironmentLaw, tilted_path_values
 from .errors import AncestryError
 from .genealogy import Constraint, constant_one
-from .rangestats import _check_constraint, tuple_sum
+from .rangestats import _check_constraint, forest_tuple_sum
 from .tree import (
     MarkedTree,
     _logsumexp,
@@ -63,6 +63,7 @@ def hit_before_return_oracle(tree: MarkedTree, z: int, x: int) -> float:
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import spsolve
 
+    tree.require_complete()
     if not is_ancestor(tree, z, x):
         raise AncestryError(f"{z} is not on the ancestral line of {x}")
     n = tree.size
@@ -113,20 +114,22 @@ def quenched_mean_quasi_independent(
     ``warmup``. f defaults to 1; it must be hereditary for the asymptotics
     to apply but the identity itself is exact for any f. ``f`` is None or
     a :class:`gwrange.genealogy.Constraint`, summed as in
-    :func:`gwrange.rangestats.tuple_sum`.
+    :func:`gwrange.rangestats.tuple_sum` on the ancestor forest of the band
+    generations (:meth:`gwrange.tree.MarkedTree.levels`). A partial tree
+    raises QueryError.
     """
     _check_constraint(f)
     if k < 2:
         raise ValueError("k must be >= 2")
-    if s < k:
-        return 0.0
     top = min(upper, tree.depth)
-    band = np.arange(tree.gen_offsets[min(lower, top + 1)], tree.gen_offsets[top + 1])
-    H = np.concatenate(conductance_levels(tree.levels(top)))
-    weight = tree.exp_neg_v[band] / H[band]
+    if s < k or lower > top:
+        return 0.0
+    forest = tree.levels(top, lower)
+    H = conductance_levels(forest)
+    weight = [0] * lower + [np.exp(-forest.V[g]) / H[g] for g in range(lower, top + 1)]
     if warmup is not None:
         f = _within_warmup(f, warmup)
-    return math.perm(s, k) * tuple_sum(tree, band, k, f, [weight] * k)
+    return math.perm(s, k) * forest_tuple_sum(forest, [weight] * k, k, f)
 
 
 def _warmup_value(value, warmup, times, coll):

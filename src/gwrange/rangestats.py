@@ -36,6 +36,7 @@ __all__ = [
     "vertex_forest",
     "reference_tuple_sum",
     "tuple_sum",
+    "forest_tuple_sum",
     "general_range",
     "classify_tuple_excursions",
     "excursion_class_masses",
@@ -201,7 +202,12 @@ def tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None) -> float:
     _check_constraint(f)
     if weights is None:
         weights = [np.ones(len(ids))] * k
-    forest, weights = vertex_forest(tree, ids, weights)
+    return forest_tuple_sum(*vertex_forest(tree, ids, weights), k, f)
+
+
+def forest_tuple_sum(forest: Forest, weights, k: int, f=None) -> float:
+    """:func:`tuple_sum` over the vertices of a one-tree forest, each slot's
+    weights laid out level by level as in :func:`signature_sum`."""
     sub = _slot_sums(forest, k, weights)
     value = None if f is None else f.by_signature
     # a split at time t needs a generation-(t-1) label with two children
@@ -348,17 +354,20 @@ def weighted_range_A_l(
 
     beta defaults to all ones. Distinct same-generation vertices are never
     ancestrally related, so admissibility is automatic. ``f`` is None or a
-    :class:`Constraint`, summed as in :func:`tuple_sum`.
+    :class:`Constraint`, summed as in :func:`tuple_sum` on the ancestor
+    forest of the generation (:meth:`MarkedTree.levels`). A partial tree
+    raises QueryError.
     """
+    _check_constraint(f)
     if level > tree.depth:
         raise ValueError("level beyond the truncation depth")
     beta = (1.0,) * k if beta is None else tuple(beta)
     if len(beta) != k:
         raise ValueError("beta must have length k")
-    ids = tree.generation_ids(level)
-    env = np.exp(-tree.V[ids])
+    forest = tree.levels(level, level)
+    env = np.exp(-forest.V[level])
     powered = {b: env**b for b in set(beta)}
-    return tuple_sum(tree, ids, k, f, [powered[b] for b in beta])
+    return forest_tuple_sum(forest, [[0] * level + [powered[b]] for b in beta], k, f)
 
 
 def sample_uniform_tuple(slice_: RangeSlice, k: int, rng: np.random.Generator):

@@ -37,6 +37,7 @@ from .genealogy import (
     pairwise_split_requirements,
 )
 from .rangestats import (
+    delta_k_count,
     excursion_class_masses,
     general_range,
     reference_tuple_sum,
@@ -45,7 +46,7 @@ from .rangestats import (
     weighted_range_A_l,
 )
 from . import tree as treemod
-from .tree import additive_martingale, generate, sample_forest
+from .tree import additive_martingale, generate, grow, sample_forest
 from .walk import range_slice, run_excursions
 
 __all__ = [
@@ -221,7 +222,12 @@ def desk_band(law: EnvironmentLaw, n: int):
 
 @dataclass
 class BandRun:
-    """One (tree, walk) replica summarized for the limit comparisons."""
+    """One (tree, walk) replica summarized for the limit comparisons.
+
+    ``martingale_depth`` is :func:`gwrange.tree.additive_martingale` at the
+    truncation depth: W_D itself on a complete tree, and on a walk-drawn
+    one its conditional mean given the drawn part.
+    """
 
     n: int
     replica: int
@@ -234,7 +240,6 @@ class BandRun:
     max_generation: int
     class_masses: dict = None
     split_samples: list = None
-    multi_visit_fraction: float = None
 
     @property
     def width(self) -> int:
@@ -252,7 +257,10 @@ def tuple_stream(seed: int, n: int, rep: int) -> np.random.Generator:
 
 def _replica(job):
     law, n, rep, seed, lower, upper, measure = job
-    tree = generate(law, upper, rng=rngmod.stream(seed, f"tree/{n}", rep))
+    tree_rng = rngmod.stream(seed, f"tree/{n}", rep)
+    # survival to the depth is a whole-tree event, so a law that can die out
+    # draws and rejection-resamples whole trees
+    tree = generate(law, upper, rng=tree_rng) if law.can_die_out else grow(law, upper, tree_rng)
     trace = run_excursions(tree, int(math.ceil(math.sqrt(n))),
                            rngmod.stream(seed, f"walk/{n}", rep))
     return measure(seed, n, rep, range_slice(trace, tree, lower, upper))
@@ -263,12 +271,17 @@ def map_replicas(law: EnvironmentLaw, n: int, replicas: int, seed: int, band, me
     """``measure(seed, n, rep, slice)`` of each (tree, walk, band) replica, in
     replica order.
 
-    Replica ``rep`` generates a tree truncated at the band's upper edge on
-    the stream tagged tree/n, walks ceil(sqrt(n)) excursions on walk/n and
-    slices the visited set to the band (``None`` picks :func:`desk_band`); a
-    measure that samples tuples builds :func:`tuple_stream` (tagged tuple/n)
-    itself. The streams are counter-based, so the result is identical for
-    any worker count. ``threads > 1`` maps over a process pool, so the
+    Replica ``rep`` draws a tree truncated at the band's upper edge on the
+    stream tagged tree/n, walks ceil(sqrt(n)) excursions on walk/n and
+    slices the visited set to the band (``None`` picks :func:`desk_band`).
+    The tree grows one generation ahead of the walk (:func:`gwrange.tree.grow`),
+    so it holds only the entered vertices and their children; a law that
+    can die out instead draws the whole tree by :func:`generate`, conditioned
+    on survival. A measure that samples tuples builds :func:`tuple_stream`
+    (tagged tuple/n) itself, and one that reads whole generations completes
+    the tree's top on fill/n (:meth:`gwrange.tree.MarkedTree.filled`). The
+    streams are counter-based, so the result is identical for any worker
+    count. ``threads > 1`` maps over a process pool, so the
     measure must then pickle: a module-level function, bound with
     ``functools.partial``. Only the measure's result outlives a replica, so
     it should not hold the tree.
@@ -285,8 +298,11 @@ def map_replicas(law: EnvironmentLaw, n: int, replicas: int, seed: int, band, me
 
 def _band_measure(with_classes, tuples_per_run, seed, n, rep, sl) -> BandRun:
     tree = sl.tree
+    masses = excursion_class_masses(sl) if with_classes else None
     splits = None
-    if tuples_per_run > 0 and sl.size >= 2:
+    # a band on one line of descent has vertices but no admissible pair
+    if (tuples_per_run > 0 and sl.size >= 2
+            and (masses["total"] if masses else delta_k_count(sl, 2))):
         srng = tuple_stream(seed, n, rep)
         splits = [first_full_split(tree, sample_uniform_tuple(sl, 2, srng))
                   for _ in range(tuples_per_run)]
@@ -300,9 +316,8 @@ def _band_measure(with_classes, tuples_per_run, seed, n, rep, sl) -> BandRun:
         martingale_depth=additive_martingale(tree, tree.depth),
         band_count=sl.size,
         max_generation=sl.max_generation,
-        class_masses=excursion_class_masses(sl) if with_classes else None,
+        class_masses=masses,
         split_samples=splits,
-        multi_visit_fraction=float((sl.excursion_counts() >= 2).mean()) if sl.size else None,
     )
 
 
@@ -320,7 +335,8 @@ def run_band_experiment(
 
     Each run of :func:`map_replicas` is summarized as a :class:`BandRun`:
     depth martingale, band count, optionally the excursion-class masses and
-    the full-split generations of ``tuples_per_run`` uniform pairs.
+    the full-split generations of ``tuples_per_run`` uniform pairs (none on
+    a band without an admissible pair).
     """
     measure = functools.partial(_band_measure, with_classes, tuples_per_run)
     return map_replicas(law, n, replicas, seed, band, measure, threads)
@@ -344,10 +360,12 @@ def _grid_row(n, stats, target, deviation, **extra) -> dict:
 
 def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
     """(statistic, target) of one replica; the volume target still lacks the
-    c_inf**k factor. None when the ratio's denominator vanishes."""
-    tree = sl.tree
+    c_inf**k factor. None when the ratio's denominator vanishes. The target
+    sums generation min(l_star, depth) of the tree's top, completed on the
+    stream tagged fill/n."""
     num = general_range(sl, k, constraint)
-    lstar = min(l_star, tree.depth)
+    lstar = min(l_star, sl.tree.depth)
+    tree = sl.tree.filled(lstar, rngmod.stream(seed, f"fill/{n}", rep))
     if experiment == "constrained-volume":
         return (num.value / (math.sqrt(n) * sl.width) ** k,
                 weighted_range_A_l(tree, k, lstar, constraint))

@@ -6,10 +6,20 @@ carries its displacement and its accumulated potential. Trees are
 truncated at a configured depth and the truncation frontier additionally
 stores, per frontier node, the total child weight sum(exp(-V(child))) of
 the one unmaterialized generation below, which is exactly what the walk
-kernel needs there. The infinite tree is never materialized.
+kernel needs there. The infinite tree is never materialized, and a tree
+need not be materialized whole down to its depth either: :func:`grow`
+starts a partial tree that holds only its root and draws the children of
+the vertices a walk enters, one generation ahead of the walk
+(:meth:`MarkedTree.draw_children`). Given its potential, a vertex's
+children are i.i.d. of the rest of the tree, so a walk on the partial tree
+has the law it has on the whole one. Readers that sum whole generations
+refuse partial trees (``QueryError``); :meth:`MarkedTree.filled` completes
+the top of one on a separate stream.
 
-Trees are immutable after generation and safe to read from any number of
-threads; generation itself is single threaded, replicas parallelize.
+Trees from :func:`generate` and :func:`tree_from_parents` are immutable
+and safe to read from any number of threads; a partial tree grows only
+while the one walk on it runs, and is read-only after. Generation itself
+is single threaded, replicas parallelize.
 """
 
 from __future__ import annotations
@@ -21,12 +31,13 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import QueryError, ResourceLimitError
-from .environment import EnvironmentLaw, law_to_text, law_from_text
+from .environment import EnvironmentLaw, law_to_text, law_from_text, log_laplace
 
 __all__ = [
     "MarkedTree",
     "VirtualLeaf",
     "generate",
+    "grow",
     "tree_from_parents",
     "ancestor_at",
     "mrca",
@@ -70,7 +81,12 @@ class MarkedTree:
     law: EnvironmentLaw = None
     seed: int = None
     regen_attempts: int = 0
+    # a partial tree holds only drawn vertices: the root, the vertices a walk
+    # entered and their children; first_child is -1 where children are not drawn
+    partial: bool = False
     _exp_neg_v: np.ndarray = field(default=None, repr=False)
+    _grow_rng: np.random.Generator = field(default=None, repr=False)
+    _grown: int = 0  # generations 0.._grown-1 have had their children drawn
 
     def __len__(self):
         return len(self.parent)
@@ -79,7 +95,14 @@ class MarkedTree:
     def size(self) -> int:
         return len(self.parent)
 
+    def require_complete(self) -> None:
+        """Refuse a reader of whole generations on a partial tree."""
+        if self.partial:
+            raise QueryError("this tree holds only the part a walk entered, not whole "
+                             "generations (MarkedTree.filled completes its top)")
+
     def generation_ids(self, g: int) -> np.ndarray:
+        self.require_complete()
         if g < 0 or g > self.depth:
             raise QueryError(f"generation {g} outside [0, {self.depth}]")
         return np.arange(self.gen_offsets[g], self.gen_offsets[g + 1], dtype=np.int64)
@@ -115,13 +138,97 @@ class MarkedTree:
             cur = self.parent[cur]
         return out
 
-    def levels(self, top: int) -> "Forest":
-        """Generations 0..top as a one-tree :class:`Forest`."""
+    def levels(self, top: int, lower: int = 0) -> "Forest":
+        """Generations 0..top as a one-tree :class:`Forest`, keeping above
+        ``lower`` only the vertices with a descendant there: the ancestor
+        forest of generations lower..top, in id order on every level."""
+        self.require_complete()
         off = self.gen_offsets
+        V = [self.V[off[g] : off[g + 1]] for g in range(top + 1)]
         parent = [np.full(1, PARENT_OF_ROOT)]
         parent += [self.parent[off[g] : off[g + 1]] - off[g - 1] for g in range(1, top + 1)]
-        return Forest(tuple(self.V[off[g] : off[g + 1]] for g in range(top + 1)),
-                      tuple(parent), tuple(np.zeros(len(p), dtype=np.int64) for p in parent))
+        for g in range(lower, 0, -1):
+            kept = np.zeros(len(V[g - 1]), dtype=bool)
+            kept[parent[g]] = True
+            parent[g] = (np.cumsum(kept) - 1)[parent[g]]
+            V[g - 1], parent[g - 1] = V[g - 1][kept], parent[g - 1][kept]
+        return Forest(tuple(V), tuple(parent),
+                      tuple(np.zeros(len(p), dtype=np.int64) for p in parent))
+
+    def draw_children(self, g: int, vert) -> None:
+        """Make sure the children of the generation-g vertices ``vert`` are
+        drawn; at the truncation depth, their frontier child weights.
+
+        A complete tree holds them already. A tree from :func:`grow` draws
+        generation g+1 once, when g is the next generation to grow: one
+        :meth:`EnvironmentLaw.sample_generation` call (at the depth, one
+        :meth:`EnvironmentLaw.child_weights` call) on its stream for the
+        distinct ``vert`` in id order. Asked later for a vertex of a grown
+        generation whose children it did not draw, it raises QueryError.
+        """
+        if self._grow_rng is None:
+            return
+        vert = np.unique(vert)
+        if g < self._grown:
+            drawn = (np.isfinite(self.halo_weight[vert - self.gen_offsets[g]]) if g == self.depth
+                     else self.first_child[vert] >= 0)
+            if drawn.all():
+                return
+        if g != self._grown:
+            raise QueryError(f"generation {g} of this partial tree is not the next to grow")
+        self._exp_neg_v = None
+        if g == self.depth:
+            self.halo_weight[vert - self.gen_offsets[g]] = self.law.child_weights(
+                self._grow_rng, self.V[vert])
+            self._grown = g + 1
+            return
+        counts, disp = self.law.sample_generation(self._grow_rng, len(vert))
+        rows = np.repeat(vert, counts)
+        v = self.V[rows]
+        v += disp
+        if abs(v).max(initial=0.0) > 600:
+            raise ResourceLimitError("potential magnitude too large for direct exponentials")
+        size, n_new = self.size, len(rows)
+        self.first_child[vert] = size + np.cumsum(counts) - counts
+        self.n_children[vert] = counts
+        self.parent = np.concatenate((self.parent, rows))
+        self.gen = np.concatenate((self.gen, np.full(n_new, g + 1, dtype=np.int32)))
+        self.disp = np.concatenate((self.disp, disp))
+        self.V = np.concatenate((self.V, v))
+        self.first_child = np.concatenate((self.first_child, np.full(n_new, -1)))
+        self.n_children = np.concatenate((self.n_children, np.zeros(n_new, dtype=np.int32)))
+        self.gen_offsets[g + 2 :] = size + n_new
+        if g + 1 == self.depth:
+            self.halo_weight = np.full(n_new, np.nan)
+        self._grown = g + 1
+
+    def filled(self, top: int, rng: np.random.Generator) -> "MarkedTree":
+        """Generations 0..top as a complete tree: this tree when it is
+        complete; for a partial tree, its drawn vertices (same potentials)
+        with the missing children drawn from ``rng``, one
+        :meth:`EnvironmentLaw.sample_generation` call per generation for the
+        vertices without drawn children, in order. No frontier weights."""
+        if not self.partial:
+            return self
+        src = np.zeros(1, dtype=np.int64)  # per filled vertex: its id here, or -1
+        parents, disps, base = [np.full(1, PARENT_OF_ROOT)], [np.zeros(1)], 0
+        for _ in range(top):
+            fc = np.where(src >= 0, self.first_child[src], -1)
+            known = fc >= 0
+            counts = np.where(known, self.n_children[src], 0).astype(np.int64)
+            fresh_counts, fresh = self.law.sample_generation(rng, int((~known).sum()))
+            counts[~known] = fresh_counts
+            rows = np.repeat(np.arange(len(src)), counts)
+            from_tree = known[rows]
+            kid = fc[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+            src = np.where(from_tree, kid, -1)
+            disp = np.empty(len(rows))
+            disp[from_tree] = self.disp[src[from_tree]]
+            disp[~from_tree] = fresh
+            parents.append(rows + base)
+            disps.append(disp)
+            base += len(counts)
+        return tree_from_parents(np.concatenate(parents), np.concatenate(disps), law=self.law)
 
     def ancestor_forest(self, ids):
         """The ancestors of vertices ``ids`` (any generations, themselves
@@ -200,6 +307,31 @@ def generate(
             tree.regen_attempts = attempt
             return tree
     raise ResourceLimitError("rejection sampling failed 10000 times")
+
+
+def grow(law: EnvironmentLaw, depth: int, rng: np.random.Generator) -> MarkedTree:
+    """A partial tree truncated at ``depth`` that holds only its root and
+    draws, from ``rng``, each generation's children of the vertices a walk
+    enters there (:meth:`MarkedTree.draw_children`), one generation ahead of
+    the walk. Unlike :func:`generate` it is not conditioned on survival."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    offsets = np.ones(depth + 2, dtype=np.int64)
+    offsets[0] = 0
+    return MarkedTree(
+        parent=np.full(1, PARENT_OF_ROOT, dtype=np.int64),
+        gen=np.zeros(1, dtype=np.int32),
+        disp=np.zeros(1),
+        V=np.zeros(1),
+        first_child=np.full(1, -1, dtype=np.int64),
+        n_children=np.zeros(1, dtype=np.int32),
+        gen_offsets=offsets,
+        depth=depth,
+        halo_weight=np.zeros(0),
+        law=law,
+        partial=True,
+        _grow_rng=rng,
+    )
 
 
 def _level_rng(rng, seed, attempt, level):
@@ -470,10 +602,22 @@ def is_ancestor(tree: MarkedTree, u: int, x: int) -> bool:
 
 
 def additive_martingale(tree: MarkedTree, n: int) -> float:
-    """W_n = sum over generation n of exp(-V), leaving the whole-tree
-    ``exp_neg_v`` cache unbuilt (it would set a deep tree's peak memory)."""
-    w = np.negative(tree.V[tree.generation_ids(n)])
-    return float(np.exp(w, out=w).sum())
+    """E[W_n | drawn part], W_n the sum over generation n of exp(-V): the
+    drawn generation-n vertices, plus e^{-V(u)} e^{(n - |u|) psi(1)} for
+    each drawn vertex u above n whose children were not drawn, the mean of
+    its generation-n descendants' sum. On a complete tree there is no such
+    u, and the value is W_n bit for bit. The whole-tree ``exp_neg_v`` cache
+    stays unbuilt (it would set a deep tree's peak memory)."""
+    if n < 0 or n > tree.depth:
+        raise QueryError(f"generation {n} outside [0, {tree.depth}]")
+    lo, hi = tree.gen_offsets[n], tree.gen_offsets[n + 1]
+    w = np.negative(tree.V[lo:hi])
+    total = float(np.exp(w, out=w).sum())
+    undrawn = np.flatnonzero(tree.first_child[:lo] < 0)
+    if undrawn.size:
+        log_mean = (n - tree.gen[undrawn]) * log_laplace(tree.law, 1.0) - tree.V[undrawn]
+        total += float(np.exp(log_mean).sum())
+    return total
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -539,6 +683,7 @@ def save_snapshot(tree: MarkedTree, path) -> None:
     The law and the seed go in header comments. Values are written with
     ``repr``, so :func:`load_snapshot` restores every array bit for bit.
     """
+    tree.require_complete()
     base = int(tree.gen_offsets[tree.depth])
     with open(path, "w") as fh:
         fh.write("# gwrange tree snapshot v2\n")

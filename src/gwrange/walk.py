@@ -19,15 +19,23 @@ Math. 1975). :func:`run_excursions` advances all s excursions together, one
 generation at a time, on rows (excursion, vertex, N).
 
 Truncation frontier. In the recurrent regimes this package targets, a step
-below the deepest materialized generation enters a subtree from which the
-walk returns to the entry vertex with probability one (the only way back
-up is through it) without touching anything materialized. Such a dive is
+below the truncation depth enters a subtree from which the walk returns to
+the entry vertex with probability one (the only way back up is through
+it) without touching any generation up to the depth. Such a dive is
 collapsed into a single recorded return visit to the entry vertex: at the
 frontier down(x) is the exact quenched weight ``halo_weight`` of the
-unmaterialized children, and the NegBin count is the number of dives.
+children below the depth, and the NegBin count is the number of dives.
 Every statistic supported here (visited sets, local times, edge local
-times, per-excursion visit counts at materialized generations) has exactly
-the law it would have on the infinite tree.
+times, per-excursion visit counts at generations up to the depth) has
+exactly the law it would have on the infinite tree.
+
+Drawn trees. Before it reads the children (at the frontier, the child
+weights) of a generation's entered vertices, the kernel asks the tree for
+them (:meth:`MarkedTree.draw_children`). A complete tree already holds
+them; a partial tree from :func:`gwrange.tree.grow` draws them then, so
+the walk draws only the vertices it enters and their children. Given its
+potential a vertex's children are independent of everything drawn before,
+so the (tree, walk) pair has the same joint law either way.
 
 Recorded steps. An excursion crosses the edge above each entered vertex
 twice per entry and spends two recorded steps on each dive, so its recorded
@@ -94,11 +102,11 @@ def run_excursions(tree: MarkedTree, s: int, rng: np.random.Generator) -> WalkTr
     into children (dives at the frontier), and one ``binomial`` call per
     child slot splits them over the children, the last child taking the
     remainder. Deterministic given (tree, s, rng state). Only the exp(-V)
-    of entered vertices and their children are computed.
+    of entered vertices and their children are computed, and on a partial
+    tree only those vertices are drawn, one generation ahead of the walk.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    V = tree.V
     depth = tree.depth
     # rows stay in (excursion, vertex) order: children are laid out row by
     # row and slot by slot, and child ids follow their parents' order
@@ -107,6 +115,8 @@ def run_excursions(tree: MarkedTree, s: int, rng: np.random.Generator) -> WalkTr
     entries = np.ones(s, dtype=np.int64)
     rows = []  # per generation: (excursion, vertex, entries, moves down)
     for g in range(depth + 1):
+        tree.draw_children(g, vert)
+        V = tree.V
         w_up = np.exp(-V[vert])
         if g == depth:
             halo = tree.halo_weight

@@ -81,7 +81,8 @@ class TestSubcommands:
 
 
 # commands that draw (tree, walk, band) replicas; the digests of their
-# artifacts below were taken from the branching walk sampler
+# artifacts below were taken from the branching walk sampler on trees drawn
+# one generation ahead of the walk
 REPLICA_COMMANDS = {
     "excursion-classes": ["verify", "excursion-classes", "--n-grid", "2000",
                           "--replicas", "4", "--seed", "8"],
@@ -94,11 +95,11 @@ REPLICA_COMMANDS = {
 
 PINNED_DIGESTS = {
     "simulate": ("range_stats.csv",
-                 "19d0c962fb15da986917b67a4afc5a5e14bf851bbfa9c9a0d0571d01dbb6bd79"),
+                 "43415dd9c21c5ad235929a10adfa5aece2455c9ecc681523845fdd1e2de646c4"),
     "genealogy": ("signatures.jsonl",
-                  "c0a94bb46c68e4cf77d0c509d7c31c0bd55ada882aa96072b4f90d73f0db4243"),
+                  "37d092bcdf5f0ae79a6719e76a99736a11a94fce76cf8ffdfa3c7a8d63a14ed9"),
     "constrained-ratio": ("report.json",
-                          "6aabdc592d3a1533170e5ca9008dec3e036c140211916f52839c3d972c25eda6"),
+                          "7da31d21a04e847dc092f9b46e0f558fa7e9c3b960c1b360b8ca50d09bae204a"),
 }
 
 

@@ -328,6 +328,56 @@ class TestWeightedLevelRange:
         assert val == pytest.approx(expect, rel=1e-12)
 
 
+# Whole-generation sums before they read MarkedTree.levels in place of the
+# induced ancestor forest, as float.hex: the default law at depth 16
+# (seed 5) and a law that can die out at depth 10 (seed 3, with dead
+# branches above the summed generations).
+WHOLE_GENERATION_SUMS = {
+    "qi16": "0x1.578a1ac140855p+13",
+    "qi16_fm": "0x1.3bc0ffa905375p+13",
+    "A16": "0x1.0b85587831d6dp-1",
+    "A16_F": "0x1.c7a55d544f960p-17",
+    "qiext": "0x1.a68919e10982ap+15",
+    "qiext3": "0x1.c655f0d043d10p+13",
+    "Aext": "0x1.8badf47116219p-1",
+    "Aext_fm": "0x1.2acaee9636519p-1",
+}
+
+
+class TestWholeGenerationSums:
+    @pytest.fixture(scope="class")
+    def trees(self, law, extinguishing_law):
+        return g.generate(law, 16, seed=5), g.generate(extinguishing_law, 10, seed=3)
+
+    def test_levels_are_the_ancestor_forest(self, trees):
+        for tree, lower, top in ((trees[0], 13, 16), (trees[1], 6, 10), (trees[1], 8, 8)):
+            ids = np.arange(tree.gen_offsets[lower], tree.gen_offsets[top + 1])
+            want, labels = tree.ancestor_forest(ids)
+            got = tree.levels(top, lower)
+            for a, b, lab in zip(got.V, want.V, labels):
+                assert np.array_equal(a, b) and np.array_equal(a, tree.V[lab])
+            for a, b in zip(got.parent, want.parent):
+                assert np.array_equal(a, b)
+        # dead branches above generation 8 are left out
+        assert len(got.V[5]) < trees[1].generation_size(5)
+
+    def test_values_kept_bitwise(self, trees):
+        from gwrange.quenched import quenched_mean_quasi_independent as qi
+
+        t16, te = trees
+        got = {
+            "qi16": qi(t16, 13, 16, 100, 2),
+            "qi16_fm": qi(t16, 13, 16, 100, 2, f=g.make_f_m(3), warmup=12),
+            "A16": g.weighted_range_A_l(t16, 2, 12, None),
+            "A16_F": g.weighted_range_A_l(t16, 2, 12, g.make_F_ell_s(1, [3], 2), beta=(2.0, 1.0)),
+            "qiext": qi(te, 6, 10, 100, 2),
+            "qiext3": qi(te, 7, 9, 20, 3, f=g.make_f_lambda([3, 5])),
+            "Aext": g.weighted_range_A_l(te, 2, 8, None),
+            "Aext_fm": g.weighted_range_A_l(te, 3, 7, g.make_f_m(4)),
+        }
+        assert {k: v.hex() for k, v in got.items()} == WHOLE_GENERATION_SUMS
+
+
 class TestUniformSampling:
     def test_two_vertex_frequencies(self, law, rng):
         tree = g.tree_from_parents([-1, 0, 0], [0.0, 0.2, 0.4])

@@ -252,6 +252,23 @@ class TestReports:
             assert rep["c_infinity"]["value"] == g.c_infinity(law).value
 
 
+class TestBandWithoutAdmissibleTuple:
+    def test_one_line_band_samples_nothing(self):
+        # every visited band vertex lies on one line of descent: the band has
+        # vertices but no admissible pair or triple to sample
+        from gwrange.cli import _genealogy_measure
+
+        tree = g.tree_from_parents([-1, 0, 0, 1, 3, 4], [0.0, 0.1, 0.3, 0.2, 0.1, 0.2])
+        trace = g.run_excursions(tree, 400, rngmod.stream(12, "w"))
+        sl = g.range_slice(trace, tree, 2, 4)
+        assert list(sl.ids) == [3, 4, 5]
+        run = theory._band_measure(True, 50, 12, 100, 0, sl)
+        assert run.class_masses["total"] == 0 and run.split_samples is None
+        assert theory._band_measure(False, 50, 12, 100, 0, sl).split_samples is None
+        assert _genealogy_measure(2, 20, 12, 100, 0, sl) == []
+        assert _genealogy_measure(3, 20, 12, 100, 0, sl) == []
+
+
 class TestLocalTimeProbe:
     def test_probe_reports_inexact_and_flags_small_budgets(self, law):
         rep = g.local_time_law_probe(law, [16, 4000], replicas=10, seed=12)

@@ -175,6 +175,10 @@ class TestWalkDigests:
         assert w == tree.exp_neg_v[tree.generation_ids(7)].sum()
 
 
+def _band_excursion_counts(seed, n, rep, sl):
+    return sl.excursion_counts()
+
+
 class TestExcursionStats:
     def test_root_visited_every_excursion(self, medium_tree):
         trace = g.run_excursions(medium_tree, 15, rngmod.stream(9, "w"))
@@ -193,12 +197,10 @@ class TestExcursionStats:
         # the band is deep enough that nearly every visited vertex there is
         # seen during a single excursion; pooled over replicas the fraction
         # of multi-excursion vertices stays small at every budget
-        from gwrange.theory import run_band_experiment
-
         for n, reps in ((10**4, 8), (10**5, 5)):
-            runs = run_band_experiment(law, n, reps, seed=77)
-            multi = sum(r.multi_visit_fraction * r.band_count for r in runs)
-            total = sum(r.band_count for r in runs)
+            counts = map_replicas(law, n, reps, 77, None, _band_excursion_counts)
+            multi = sum(int((c >= 2).sum()) for c in counts)
+            total = sum(len(c) for c in counts)
             assert multi / total < 0.10, n
 
 
