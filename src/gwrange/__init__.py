@@ -49,7 +49,6 @@ from .quenched import (
 )
 from .rangestats import (
     RangeStat,
-    classify_tuple_excursions,
     delta_k_count,
     excursion_class_masses,
     general_range,

@@ -115,9 +115,10 @@ def _argument_problem(args, cp):
                 f"and {args.depth_max}")
     if args.command in ("simulate", "genealogy", "verify") and args.k < 2:
         return f"need --k >= 2, got {args.k}"
+    if args.command in ("constants", "verify") and args.replicas is not None \
+            and args.replicas < 2:
+        return f"need --replicas >= 2, got {args.replicas}"
     if args.command == "verify":
-        if args.replicas is not None and args.replicas < 2:
-            return f"need --replicas >= 2, got {args.replicas}"
         ident = _constraint_id(args, cp)
         try:
             _parse_constraint(ident, args.k)

@@ -42,7 +42,6 @@ __all__ = [
     "check_assumptions",
     "many_to_one_step_law",
     "sample_tilted_walk",
-    "tilted_path_values",
     "estimate_c_infinity",
     "c_infinity",
     "CInfinity",
@@ -433,31 +432,46 @@ def many_to_one_step_law(law: EnvironmentLaw, tol: float = ROOT_TOL):
     return [(v, masses[v]) for v in values]
 
 
+def _tilted_atoms(law: EnvironmentLaw):
+    """Values and renormalized masses of :func:`many_to_one_step_law`."""
+    atoms = many_to_one_step_law(law)
+    probs = np.array([p for _, p in atoms])
+    return np.array([v for v, _ in atoms]), probs / probs.sum()
+
+
 def sample_tilted_walk(law: EnvironmentLaw, steps: int, rng: np.random.Generator, replicas: int = 1):
     """Paths of the tilted walk, shape (replicas, steps+1), starting at 0."""
-    atoms = many_to_one_step_law(law)
-    values = np.array([v for v, _ in atoms])
-    probs = np.array([p for _, p in atoms])
-    probs = probs / probs.sum()
+    values, probs = _tilted_atoms(law)
     incs = values.take(_atom_index(rng, probs, (replicas, steps)))
     paths = np.zeros((replicas, steps + 1))
     np.cumsum(incs, axis=1, out=paths[:, 1:])
     return paths
 
 
-def tilted_path_values(law: EnvironmentLaw, steps: int, rng: np.random.Generator,
-                       replicas: int, fn) -> np.ndarray:
-    """``fn`` applied to the tilted-walk paths, one value per path.
+def _tilted_perpetuity(law: EnvironmentLaw, steps: int, rng: np.random.Generator,
+                       replicas: int, start: float, backward: bool) -> np.ndarray:
+    """Q = 1 + e^{-xi_j} Q over the steps xi_1..xi_steps of each tilted path,
+    from Q = ``start``, first step to last or, if ``backward``, last to first.
 
-    Paths are drawn in blocks of ``TILTED_BLOCK_ROWS`` rows so memory stays
-    bounded. :func:`_atom_index` fills its uniforms row-major, so the
-    blocks consume the stream exactly as one (replicas, steps+1) draw would
-    and the values are bitwise those of the whole matrix.
+    Forward gives (start - 1) e^{-S_d} + sum_{j<=d} e^{S_j - S_d}; backward
+    from 1 gives sum_{j<=d} e^{-S_j}. The steps are those of
+    :func:`sample_tilted_walk` on the same ``rng``: blocks of
+    ``TILTED_BLOCK_ROWS`` rows draw their atom indices row-major, so the
+    stream is consumed as by one (replicas, steps) draw and ends where that
+    draw leaves it. Each step's factor e^{-xi} is read from a per-atom table
+    and the recursion runs over the columns of the transposed block.
     """
+    values, probs = _tilted_atoms(law)
+    factor = np.exp(-values)
     out = np.empty(replicas)
     for lo in range(0, replicas, TILTED_BLOCK_ROWS):
-        hi = min(lo + TILTED_BLOCK_ROWS, replicas)
-        out[lo:hi] = fn(sample_tilted_walk(law, steps, rng, hi - lo))
+        idx = _atom_index(rng, probs, (min(TILTED_BLOCK_ROWS, replicas - lo), steps))
+        columns = factor.take(np.ascontiguousarray(idx.T, dtype=np.intp))
+        q = out[lo:lo + len(idx)]
+        q.fill(start)
+        for w in columns[::-1] if backward else columns:
+            q *= w
+            q += 1.0
     return out
 
 
@@ -482,19 +496,25 @@ def estimate_c_infinity(
 ) -> CInfinityEstimate:
     """Monte Carlo mean of 1 / sum_{j<=L} exp(-S_j) along the tilted walk.
 
-    The deterministic bracket [1 - exp(psi(2)), 1] is attached to the
-    estimate; the mean always lies inside it.
+    Each path's sum is the perpetuity Q = 1 + e^{-xi_j} Q run from Q = 1
+    over its steps from the L-th back to the first (Horner's rule), with no
+    path matrix and no exponential per step. The draws are those of
+    :func:`sample_tilted_walk` on ``rng``, and each value agrees with the
+    exp-cumsum form on those paths up to rounding. ``replicas`` must be at
+    least 2, for the standard error. The deterministic bracket
+    [1 - exp(psi(2)), 1] is attached to the estimate; the mean always lies
+    inside it.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
+    if replicas < 2:
+        raise ValueError("replicas must be >= 2")
     lo = 1.0 - math.exp(log_laplace(law, 2.0))
     if truncation == 0:
         return CInfinityEstimate(1.0, 0.0, 0, replicas, (lo, 1.0))
-    vals = tilted_path_values(
-        law, truncation, rng, replicas, lambda paths: 1.0 / np.exp(-paths).sum(axis=1)
-    )
+    vals = 1.0 / _tilted_perpetuity(law, truncation, rng, replicas, 1.0, backward=True)
     value = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicas))
     return CInfinityEstimate(value, se, truncation, replicas, (lo, 1.0))

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .environment import EnvironmentLaw, tilted_path_values
+from .environment import EnvironmentLaw, _tilted_perpetuity
 from .errors import AncestryError
 from .genealogy import Constraint, constant_one
 from .rangestats import _check_constraint, forest_tuple_sum
@@ -159,8 +159,14 @@ def phi(
     not conditioned on survival (a tree that dies out adds 0), with H from
     the level recursion; it is exact to the definition but only feasible
     for small depth. ``mode="tilted"`` transports the sum to the tilted
-    one-dimensional walk (an exact identity), which scales to any depth.
-    ``auto`` picks by depth.
+    one-dimensional walk (an exact identity), which scales to any depth:
+    the value of a path is 1/Q_d for the perpetuity Q_0 = r, Q_j = 1 +
+    e^{-xi_j} Q_{j-1} over its steps, that is (r-1) e^{-S_d} + sum_{j<=d}
+    e^{S_j - S_d}, with no path matrix and no exponential per step. Its
+    draws are those of :func:`gwrange.environment.sample_tilted_walk` on
+    ``rng``, and each value agrees with the exp-cumsum form on those paths
+    up to rounding. ``auto`` picks by depth. ``replicas`` must be at least
+    2, for the standard error.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -169,17 +175,14 @@ def phi(
         raise ValueError("p must be >= warmup")
     if r < 1.0:
         raise ValueError("r must be >= 1")
+    if replicas < 2:
+        raise ValueError("replicas must be >= 2")
     if d == 0:
         return 1.0 / ((r - 1.0) + 1.0), 0.0
     if mode == "auto":
         mode = "tree" if d <= depth_cap else "tilted"
     if mode == "tilted":
-        def value(paths):
-            end = paths[:, -1]
-            h = np.exp(paths - end[:, None]).sum(axis=1)
-            return 1.0 / ((r - 1.0) * np.exp(-end) + h)
-
-        vals = tilted_path_values(law, d, rng, replicas, value)
+        vals = 1.0 / _tilted_perpetuity(law, d, rng, replicas, r, backward=False)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
     if mode != "tree":
         raise ValueError(f"unknown mode {mode!r}")

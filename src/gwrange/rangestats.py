@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CombinatorialCapError, EmptySupportError
 from .tree import Forest, MarkedTree, enumerate_delta_k, is_ancestor
-from .walk import RangeSlice, WalkTrace
+from .walk import RangeSlice
 from .genealogy import (
     Constraint,
     GenealogySignature,
@@ -38,7 +38,6 @@ __all__ = [
     "tuple_sum",
     "forest_tuple_sum",
     "general_range",
-    "classify_tuple_excursions",
     "excursion_class_masses",
     "weighted_range_A_l",
     "sample_uniform_tuple",
@@ -51,7 +50,6 @@ SAMPLE_MAX_ATTEMPTS = 100_000  # rejection draws before giving up
 CLASS_DISTINCT = "distinct"
 CLASS_SAME_SINGLE = "same-single"
 CLASS_MIXED = "mixed"
-CLASS_UNVISITED = "not-all-visited"
 
 
 @dataclass(frozen=True)
@@ -245,66 +243,6 @@ def general_range(slice_: RangeSlice, k: int, f=None) -> RangeStat:
     count = total if f is None else tuple_sum(tree, ids, k)
     norm = float(slice_.trace.s * slice_.width) ** k
     return RangeStat(total, int(count), norm, "one" if f is None else f.name, k)
-
-
-def classify_tuple_excursions(trace: WalkTrace, xs) -> str:
-    """Excursion class of a tuple: ``distinct`` when the slots admit
-    pairwise different visiting excursions, ``same-single`` when all slots
-    were visited only in one common excursion, ``mixed`` otherwise.
-
-    Vertices visited in several excursions are handled through their full
-    entry-excursion sets. This is the per-tuple oracle of
-    :func:`excursion_class_masses`, and the classifier for k >= 3.
-    """
-    sets = []
-    for x in xs:
-        if not trace.was_visited(x):
-            return CLASS_UNVISITED
-        i = trace.index_of(x)
-        entries = trace.entry_excursions[i]
-        entries = entries[entries <= trace.s]
-        if len(entries) == 0:
-            return CLASS_UNVISITED
-        sets.append(entries)
-    if all(len(e) == 1 for e in sets):
-        firsts = [int(e[0]) for e in sets]
-        if len(set(firsts)) == len(firsts):
-            return CLASS_DISTINCT
-        if len(set(firsts)) == 1:
-            return CLASS_SAME_SINGLE
-        return CLASS_MIXED
-    # precedence: a tuple admitting pairwise distinct excursions is
-    # "distinct" even when it also shares one, so the three classes
-    # partition the visited tuples
-    if _has_distinct_assignment(sets):
-        return CLASS_DISTINCT
-    common = set(int(v) for v in sets[0])
-    for e in sets[1:]:
-        common &= set(int(v) for v in e)
-    if common:
-        return CLASS_SAME_SINGLE
-    return CLASS_MIXED
-
-
-def _has_distinct_assignment(sets) -> bool:
-    """Bipartite matching slots -> excursions, brute force for small k."""
-    k = len(sets)
-    order = sorted(range(k), key=lambda i: len(sets[i]))
-    used = set()
-
-    def rec(pos):
-        if pos == k:
-            return True
-        for j in sets[order[pos]]:
-            j = int(j)
-            if j not in used:
-                used.add(j)
-                if rec(pos + 1):
-                    return True
-                used.discard(j)
-        return False
-
-    return rec(0)
 
 
 def excursion_class_masses(slice_: RangeSlice) -> dict:

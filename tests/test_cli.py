@@ -170,6 +170,16 @@ class TestFailureHandling:
         assert manifest["status"] == "failed" and manifest["failure"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    def test_constants_refuses_one_replica(self, tmp_path, capsys):
+        # a one-path Monte Carlo c_inf has no standard error to report
+        code = run(["constants", "--replicas", "1", "--seed", "3"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "constants: need --replicas >= 2, got 1\n"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["failure"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("GWRANGE_OUT", str(target))

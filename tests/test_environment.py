@@ -260,6 +260,13 @@ class TestCInfinity:
         est = g.estimate_c_infinity(law, truncation=0, replicas=10, rng=rng)
         assert est.value == 1.0
 
+    @pytest.mark.parametrize("replicas", [0, 1])
+    @pytest.mark.parametrize("truncation", [0, 200])
+    def test_fewer_than_two_replicas_refused(self, law, replicas, truncation):
+        # one path has no standard error: the estimate would carry a NaN
+        with pytest.raises(ValueError, match="replicas"):
+            g.estimate_c_infinity(law, truncation=truncation, replicas=replicas)
+
     def test_bracket_default_law(self, law):
         est = g.estimate_c_infinity(law, truncation=200, replicas=50_000,
                                     rng=rngmod.stream(5, "cinf"))
@@ -341,30 +348,65 @@ class TestDeterministicCInfinity:
 
 
 class TestTiltedBlocks:
-    REPLICAS = 2 * TILTED_BLOCK_ROWS + 37
+    # the perpetuity kernel reads the steps sample_tilted_walk would draw
+    @staticmethod
+    def exp_cumsum(paths, r):
+        # (r-1) e^{-S_d} + sum_j e^{S_j - S_d}, or sum_j e^{-S_j} for r=None
+        if r is None:
+            return np.exp(-paths).sum(axis=1)
+        end = paths[:, -1]
+        return (r - 1.0) * np.exp(-end) + np.exp(paths - end[:, None]).sum(axis=1)
 
-    def whole_matrix(self, law, steps, seed, fn):
-        paths = g.sample_tilted_walk(law, steps, np.random.default_rng(seed), self.REPLICAS)
-        vals = fn(paths)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(self.REPLICAS))
+    @pytest.mark.parametrize("replicas", [2 * 64 + 37, 2 * TILTED_BLOCK_ROWS + 37])
+    def test_block_rows_invisible(self, law, monkeypatch, replicas):
+        def estimates():
+            cinf = g.estimate_c_infinity(law, truncation=30, replicas=replicas,
+                                         rng=np.random.default_rng(3))
+            return [(cinf.value, cinf.se)] + [
+                phi(law, 25, 4, r, replicas=replicas, rng=np.random.default_rng(4),
+                    mode="tilted") for r in (1.0, 2.5)]
 
-    def test_c_infinity_equals_whole_matrix(self, law):
-        est = g.estimate_c_infinity(law, truncation=30, replicas=self.REPLICAS,
+        want = estimates()
+        monkeypatch.setattr(environment, "TILTED_BLOCK_ROWS", 64)
+        assert estimates() == want
+
+    @pytest.mark.parametrize("name", ["default", "three-atom"])
+    def test_c_infinity_matches_whole_matrix(self, name):
+        law = C_INF_LAWS[name]
+        replicas = 2 * TILTED_BLOCK_ROWS + 37
+        paths = g.sample_tilted_walk(law, 200, np.random.default_rng(3), replicas)
+        got = environment._tilted_perpetuity(law, 200, np.random.default_rng(3), replicas,
+                                             1.0, backward=True)
+        np.testing.assert_allclose(got, self.exp_cumsum(paths, None), rtol=1e-12, atol=0)
+        est = g.estimate_c_infinity(law, truncation=200, replicas=replicas,
                                     rng=np.random.default_rng(3))
-        want = self.whole_matrix(law, 30, 3, lambda p: 1.0 / np.exp(-p).sum(axis=1))
-        assert (est.value, est.se) == want
+        assert est.value == (1.0 / got).mean()
 
+    @pytest.mark.parametrize("name", ["default", "three-atom"])
     @pytest.mark.parametrize("r", [1.0, 2.5])
-    def test_tilted_phi_equals_whole_matrix(self, law, r):
-        got = phi(law, 25, 4, r, replicas=self.REPLICAS, rng=np.random.default_rng(4),
-                  mode="tilted")
+    def test_tilted_phi_matches_whole_matrix(self, name, r):
+        # at depth 21 the (r-1) e^{-S_d} term still counts; 200 is the deep case
+        law = C_INF_LAWS[name]
+        replicas = 2 * TILTED_BLOCK_ROWS + 37
+        for d in (21, 200):
+            paths = g.sample_tilted_walk(law, d, np.random.default_rng(4), replicas)
+            got = environment._tilted_perpetuity(law, d, np.random.default_rng(4), replicas,
+                                                 r, backward=False)
+            np.testing.assert_allclose(got, self.exp_cumsum(paths, r), rtol=1e-12, atol=0)
+            val, _ = phi(law, d + 10, 10, r, replicas=replicas, rng=np.random.default_rng(4),
+                         mode="tilted")
+            assert val == (1.0 / got).mean()
 
-        def value(paths):
-            end = paths[:, -1]
-            h = np.exp(paths - end[:, None]).sum(axis=1)
-            return 1.0 / ((r - 1.0) * np.exp(-end) + h)
-
-        assert got == self.whole_matrix(law, 21, 4, value)
+    @pytest.mark.parametrize("rows", [64, TILTED_BLOCK_ROWS])
+    def test_stream_left_as_whole_matrix(self, law, monkeypatch, rows):
+        monkeypatch.setattr(environment, "TILTED_BLOCK_ROWS", rows)
+        replicas = 2 * rows + 37
+        whole = np.random.default_rng(5)
+        g.sample_tilted_walk(law, 30, whole, replicas)
+        cinf, tilted = np.random.default_rng(5), np.random.default_rng(5)
+        g.estimate_c_infinity(law, truncation=30, replicas=replicas, rng=cinf)
+        phi(law, 34, 4, 2.0, replicas=replicas, rng=tilted, mode="tilted")
+        assert whole.random() == cinf.random() == tilted.random()
 
 
 class TestJointMoments:

@@ -82,6 +82,21 @@ def test_walk_kernel_has_no_step_loop():
     assert found == []
 
 
+def test_no_tilted_path_matrix_in_src():
+    # the tilted-walk estimators run a perpetuity recursion over the steps;
+    # a call of the path sampler in the package would bring back the
+    # (replicas, steps) potential matrix
+    found = []
+    for path in sorted(Path(gwrange.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "sample_tilted_walk":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

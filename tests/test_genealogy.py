@@ -27,6 +27,16 @@ def random_increasing_collection(k, rng):
     return colls[rng.integers(len(colls))]
 
 
+def _labels(k):
+    return st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
+
+
+# label vectors over slots 1..k; a partition groups equal labels
+LABELLINGS = st.integers(1, 7).flatmap(lambda k: st.tuples(_labels(k), _labels(k), _labels(k)))
+_CHAINS = {k: list(enumerate_increasing_collections(k)) for k in range(2, 6)}
+CHAINS = st.sampled_from(sorted(_CHAINS)).flatmap(lambda k: st.sampled_from(_CHAINS[k]))
+
+
 class TestPartition:
     def test_canonical_ordering(self):
         p = P([[3, 1], [2]])
@@ -47,6 +57,40 @@ class TestPartition:
             Partition(((1, 2), (2, 3)))
         with pytest.raises(SignatureError):
             Partition(((1,), (3,)))
+
+
+class TestPartitionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=LABELLINGS)
+    def test_refines_means_the_meet_is_itself(self, labels):
+        # a refines b exactly when the common refinement of a and b is a
+        la, lb, _ = labels
+        a, b = Partition.from_labels(la), Partition.from_labels(lb)
+        assert a.refines(b) == (Partition.from_labels(list(zip(la, lb))) == a)
+        if a.refines(b) and b.refines(a):
+            assert a == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=LABELLINGS)
+    def test_reflexive_and_transitive(self, labels):
+        la, lb, lc = labels
+        coarse = Partition.from_labels(la)
+        mid = Partition.from_labels(list(zip(la, lb)))
+        fine = Partition.from_labels(list(zip(la, lb, lc)))
+        for part in (coarse, mid, fine):
+            assert part.refines(part)
+        assert fine.refines(mid) and mid.refines(coarse) and fine.refines(coarse)
+        a, b, c = (Partition.from_labels(lab) for lab in labels)
+        if a.refines(b) and b.refines(c):
+            assert a.refines(c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=LABELLINGS)
+    def test_singletons_and_one_block_bound_every_partition(self, labels):
+        part = Partition.from_labels(labels[0])
+        assert Partition.singletons(part.k).refines(part)
+        assert part.refines(Partition.one_block(part.k))
+        assert Partition.one_block(part.k).refines(part) == (len(part) == 1)
 
 
 class TestIncreasingCollection:
@@ -116,6 +160,22 @@ class TestReduction:
                 assert red.split_counts(p) == coll.split_counts(p)
             checked += 1
         assert checked > 500
+
+
+@settings(max_examples=200, deadline=None)
+@given(coll=CHAINS)
+def test_reduction_invariants(coll):
+    red = g.reduce_collection(coll)
+    base = coll.levels[-2]
+    assert red.k == len(base) and len(red.levels) == len(coll.levels) - 1
+    for part, reduced in zip(coll.levels, red.levels):
+        assert len(reduced) == len(part)
+        # each reduced level, its elements read back as blocks of the base
+        # level, is the original level
+        assert Partition.make([[i for j in b for i in base.blocks[j - 1]]
+                               for b in reduced.blocks]) == part
+    for p in range(1, red.depth + 1):
+        assert red.split_counts(p) == coll.split_counts(p)
 
 
 class TestSplitTimes:
@@ -243,6 +303,18 @@ class TestIndicator:
         sig = g.coalescent_times(figure_tree, (7, 10, 6, 8))
         back = g.GenealogySignature.from_json(sig.to_json())
         assert back == sig
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_signature_json_round_trip_property(data):
+    coll = data.draw(st.one_of(st.just(IncreasingCollection((P([[1]]),))), CHAINS))
+    times = data.draw(st.lists(st.integers(1, 10**6), min_size=coll.depth,
+                               max_size=coll.depth, unique=True))
+    sig = g.GenealogySignature(tuple(sorted(times)), coll)
+    text = sig.to_json()
+    back = g.GenealogySignature.from_json(text)
+    assert back == sig and back.to_json() == text
 
 
 def _weighted_times(times, coll):

