@@ -118,6 +118,8 @@ def _argument_problem(args, cp):
     if args.command in ("constants", "verify") and args.replicas is not None \
             and args.replicas < 2:
         return f"need --replicas >= 2, got {args.replicas}"
+    if args.command == "constants" and args.truncation < 0:
+        return f"need --truncation >= 0, got {args.truncation}"
     if args.command == "verify":
         ident = _constraint_id(args, cp)
         try:

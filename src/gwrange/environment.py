@@ -60,8 +60,12 @@ __all__ = [
 CALIBRATION_TOL = 1e-12
 ROOT_TOL = 1e-9
 KAPPA_T_MAX = 64.0
-# Rows of tilted-walk paths held in memory at once.
+# Rows of tilted-walk paths per recursion block: the block holds one small
+# unsigned atom index per step and row, and the recursion state one float
+# per row.
 TILTED_BLOCK_ROWS = 4096
+# Uniforms _atom_index draws at once (512 KiB of float64), whatever the size.
+_ATOM_SLAB = 1 << 16
 # Deterministic c_inf (see c_infinity): intervals of the coarser log-y grid,
 # top of the grid, sup-norm tolerance and cap of the fixed-point sweeps, and
 # quadrature nodes of the gaussian family's tilted step.
@@ -149,7 +153,7 @@ class EnvironmentLaw:
             return counts, disp
         idx = _atom_index(rng, np.array([p for p, _ in self.atoms]), n_parents)
         sizes = np.array([len(d) for _, d in self.atoms], dtype=np.int64)
-        counts = sizes[idx]
+        counts = sizes[idx.astype(np.intp)]
         starts = np.cumsum(counts)
         disp = np.empty(int(starts[-1]) if n_parents else 0)
         starts -= counts
@@ -188,22 +192,31 @@ class EnvironmentLaw:
         return out
 
 
-def _atom_index(rng: np.random.Generator, probs: np.ndarray, size) -> np.ndarray:
+def _atom_index(rng: np.random.Generator, probs: np.ndarray, size, out=None) -> np.ndarray:
     """Categorical draw of atom indices with masses ``probs``.
 
     Equal, value for value, to ``rng.choice(len(probs), size=size,
     p=probs)``, and leaves ``rng`` where that call would: one uniform per
     draw, filled row-major, and the index is the number of normalized
-    cumulative masses at or below it (the last mass excluded). The index has
-    the smallest unsigned dtype that holds ``len(probs) - 1``.
+    cumulative masses at or below it (the last mass excluded). The indices
+    go into ``out``, a C-contiguous array of shape ``size``, or else into a
+    new array of the smallest unsigned dtype that holds ``len(probs) - 1``.
+    The uniforms are drawn ``_ATOM_SLAB`` at a time along the row-major
+    order, which consumes the stream exactly as one whole draw does, so no
+    float array larger than one slab is ever allocated.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(size)
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(probs) - 1))
-    for c in cdf[:-1]:
-        idx += u >= c
-    return idx
+    if out is None:
+        out = np.empty(size, dtype=np.min_scalar_type(len(probs) - 1))
+    out.fill(0)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _ATOM_SLAB):
+        u = rng.random(min(_ATOM_SLAB, flat.size - lo))
+        idx = flat[lo:lo + len(u)]
+        for c in cdf[:-1]:
+            idx += u >= c
+    return out
 
 
 def two_point_law(q: float = 0.5, a: float = -0.1, m: int = 3, b: float = None) -> EnvironmentLaw:
@@ -456,21 +469,30 @@ def _tilted_perpetuity(law: EnvironmentLaw, steps: int, rng: np.random.Generator
     Forward gives (start - 1) e^{-S_d} + sum_{j<=d} e^{S_j - S_d}; backward
     from 1 gives sum_{j<=d} e^{-S_j}. The steps are those of
     :func:`sample_tilted_walk` on the same ``rng``: blocks of
-    ``TILTED_BLOCK_ROWS`` rows draw their atom indices row-major, so the
-    stream is consumed as by one (replicas, steps) draw and ends where that
-    draw leaves it. Each step's factor e^{-xi} is read from a per-atom table
-    and the recursion runs over the columns of the transposed block.
+    ``TILTED_BLOCK_ROWS`` rows draw their atom indices row-major through
+    :func:`_atom_index`, so the stream is consumed as by one (replicas,
+    steps) draw and ends where that draw leaves it. One index block and its
+    transpose, both of the atom index dtype (one byte per step and row), are
+    allocated per call and refilled block by block; each step's factors
+    e^{-xi} are read from a per-atom table one step at a time. Beyond the
+    output, no float array larger than one step's factors or one slab of
+    uniforms is held.
     """
     values, probs = _tilted_atoms(law)
     factor = np.exp(-values)
     out = np.empty(replicas)
+    rows = min(TILTED_BLOCK_ROWS, replicas)
+    rows_first = np.empty((rows, steps), dtype=np.min_scalar_type(len(probs) - 1))
+    steps_first = np.empty((steps, rows), dtype=rows_first.dtype)
     for lo in range(0, replicas, TILTED_BLOCK_ROWS):
-        idx = _atom_index(rng, probs, (min(TILTED_BLOCK_ROWS, replicas - lo), steps))
-        columns = factor.take(np.ascontiguousarray(idx.T, dtype=np.intp))
-        q = out[lo:lo + len(idx)]
+        block = rows_first[:replicas - lo]
+        _atom_index(rng, probs, block.shape, out=block)
+        columns = steps_first[:, :len(block)]
+        columns[...] = block.T
+        q = out[lo:lo + len(block)]
         q.fill(start)
-        for w in columns[::-1] if backward else columns:
-            q *= w
+        for col in columns[::-1] if backward else columns:
+            q *= factor.take(col)
             q += 1.0
     return out
 

@@ -369,11 +369,11 @@ def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
     if experiment == "constrained-volume":
         return (num.value / (math.sqrt(n) * sl.width) ** k,
                 weighted_range_A_l(tree, k, lstar, constraint))
-    den = general_range(sl, k, None)
-    if den.value == 0:
+    # the unconstrained band sum is the tuple count general_range already took
+    if num.tuple_count == 0:
         return None
     a_f = weighted_range_A_l(tree, k, lstar, constraint)
-    return num.value / den.value, a_f / weighted_range_A_l(tree, k, lstar, None)
+    return num.value / num.tuple_count, a_f / weighted_range_A_l(tree, k, lstar, None)
 
 
 def limit_report(

@@ -180,6 +180,16 @@ class TestFailureHandling:
         assert manifest["status"] == "failed" and manifest["failure"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    def test_constants_refuses_negative_truncation(self, tmp_path, capsys):
+        # refused before the deterministic c_inf is computed
+        code = run(["constants", "--truncation", "-1", "--seed", "3"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "constants: need --truncation >= 0, got -1\n"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["failure"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("GWRANGE_OUT", str(target))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ class TestAtomIndex:
         want = want_rng.choice(len(probs), size=size, p=probs)
         assert got.shape == want.shape and np.iinfo(got.dtype).max >= len(probs) - 1
         assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(masses=MASSES, size=SIZES, slab=st.integers(1, 64),
+           dtype=st.sampled_from([None, np.uint8, np.int64]), seed=st.integers(0, 2**32 - 1))
+    def test_slabs_and_out_equal_generator_choice(self, masses, size, slab, dtype, seed):
+        # small slabs cross row boundaries; ``out`` starts with garbage
+        probs = np.array(masses) / sum(masses)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = want_rng.choice(len(probs), size=size, p=probs)
+        out = None if dtype is None else np.full(want.shape, 99, dtype=dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(environment, "_ATOM_SLAB", slab)
+            got = environment._atom_index(got_rng, probs, size, out=out)
+        assert out is None or got is out
+        assert got.shape == want.shape and np.array_equal(got, want)
         assert got_rng.random() == want_rng.random()
 
 
@@ -407,6 +424,29 @@ class TestTiltedBlocks:
         g.estimate_c_infinity(law, truncation=30, replicas=replicas, rng=cinf)
         phi(law, 34, 4, 2.0, replicas=replicas, rng=tilted, mode="tilted")
         assert whole.random() == cinf.random() == tilted.random()
+
+
+# One (4096, 200) float64 block is 6.25 MiB: a call that holds one beside its
+# one-byte index blocks and a uniform slab breaks this bound.
+TILTED_PEAK_BYTES = 8 * 2**20
+
+
+@pytest.mark.parametrize("op", ["c_infinity", "phi"])
+def test_tilted_call_memory_bounded(law, op):
+    # 60k paths of 200 steps: one-byte index blocks and one uniform slab
+    calls = {
+        "c_infinity": lambda: g.estimate_c_infinity(law, truncation=200, replicas=60_000,
+                                                    rng=np.random.default_rng(1)),
+        "phi": lambda: phi(law, 210, 10, 1.0, replicas=60_000, rng=np.random.default_rng(1),
+                           mode="tilted"),
+    }
+    tracemalloc.start()
+    try:
+        calls[op]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TILTED_PEAK_BYTES
 
 
 class TestJointMoments:

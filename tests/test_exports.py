@@ -97,6 +97,20 @@ def test_no_tilted_path_matrix_in_src():
     assert found == []
 
 
+def test_uniforms_drawn_only_in_atom_index():
+    # every uniform block goes through environment._atom_index, which draws
+    # it slab by slab; a .random( call elsewhere could hold a whole block
+    found = []
+    for path in sorted(Path(gwrange.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            site = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "random"):
+                    found.append(site)
+    assert found == ["environment._atom_index"]
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
