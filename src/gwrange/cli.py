@@ -56,18 +56,10 @@ from .rangestats import (
     general_range,
     sample_uniform_tuple,
 )
-from .theory import desk_band, limit_report, local_time_law_probe, map_replicas, tuple_stream
+from .theory import (EXPERIMENTS, desk_band, limit_report, limit_report_problem,
+                     local_time_law_probe, map_replicas, tuple_stream)
 from .tree import generate, save_snapshot
 from .walk import trace_to_csv
-
-EXPERIMENTS = (
-    "band-volume",
-    "excursion-classes",
-    "split-cdf",
-    "constrained-volume",
-    "constrained-ratio",
-    "local-time",
-)
 
 
 def _load_config(path):
@@ -113,8 +105,11 @@ def _argument_problem(args, cp):
     if args.command == "oracle" and (args.cases < 1 or args.depth_max < 3):
         return (f"need --cases >= 1 and --depth-max >= 3, got {args.cases} "
                 f"and {args.depth_max}")
-    if args.command in ("simulate", "genealogy", "verify") and args.k < 2:
-        return f"need --k >= 2, got {args.k}"
+    if args.command in ("simulate", "genealogy", "verify"):
+        if args.k < 2:
+            return f"need --k >= 2, got {args.k}"
+        if min(_grid(args, cp)) < 1:
+            return "need --n-grid budgets that are positive integers"
     if args.command in ("constants", "verify") and args.replicas is not None \
             and args.replicas < 2:
         return f"need --replicas >= 2, got {args.replicas}"
@@ -123,9 +118,11 @@ def _argument_problem(args, cp):
     if args.command == "verify":
         ident = _constraint_id(args, cp)
         try:
-            _parse_constraint(ident, args.k)
+            constraint = _parse_constraint(ident, args.k)
         except (ValueError, GwrangeError) as err:
             return f"bad --constraint {ident!r}: {err}"
+        if args.experiment != "local-time":
+            return limit_report_problem(args.experiment, constraint, _grid(args, cp))
     return None
 
 
@@ -153,23 +150,16 @@ def _write_manifest(outdir, args, config_text, status, failure=None):
 
 
 def _grid(args, cp):
-    if args.n_grid:
-        return [int(v) for v in args.n_grid.split(",")]
-    if cp.has_option("experiment", "n_grid"):
-        return [int(v) for v in cp.get("experiment", "n_grid").split(",")]
-    return [10_000, 100_000, 1_000_000]
+    """The budget grid, with 0 for a budget that is not a decimal integer."""
+    text = args.n_grid or cp.get("experiment", "n_grid", fallback="10000,100000,1000000")
+    return [int(v) if v.strip().isdecimal() else 0 for v in text.split(",")]
 
 
-def _bands(cp, law, grid):
-    bands = {}
-    for n in grid:
-        key = f"band_{n}"
-        if cp.has_option("schedule", key):
-            lo, hi = cp.get("schedule", key).split(",")
-            bands[n] = (int(lo), int(hi))
-        else:
-            bands[n] = desk_band(law, n)
-    return bands
+def _band(cp, law, n):
+    if cp.has_option("schedule", f"band_{n}"):
+        lo, hi = cp.get("schedule", f"band_{n}").split(",")
+        return int(lo), int(hi)
+    return desk_band(law, n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,7 @@ def _simulate_measure(k, seed, n, rep, sl):
 
 def _cmd_simulate(args, cp, law, outdir):
     n = _grid(args, cp)[0]
-    lo, hi = _bands(cp, law, [n])[n]
+    lo, hi = _band(cp, law, n)
     reps = args.replicas or 4
     results = map_replicas(law, n, reps, args.seed, (lo, hi),
                            functools.partial(_simulate_measure, args.k), args.threads)
@@ -276,7 +266,7 @@ def _cmd_genealogy(args, cp, law, outdir):
     n = _grid(args, cp)[0]
     reps = args.replicas or 4
     measure = functools.partial(_genealogy_measure, args.k, args.tuples)
-    results = map_replicas(law, n, reps, args.seed, _bands(cp, law, [n])[n], measure,
+    results = map_replicas(law, n, reps, args.seed, _band(cp, law, n), measure,
                            args.threads)
     hist = {}
     with open(os.path.join(outdir, "signatures.jsonl"), "w") as sig_fh:
@@ -299,12 +289,11 @@ def _cmd_verify(args, cp, law, outdir):
         report = local_time_law_probe(law, grid, replicas=args.replicas or 60,
                                       seed=args.seed)
     else:
-        k = args.k
-        constraint = _parse_constraint(_constraint_id(args, cp), k)
-        bands = _bands(cp, law, grid)
+        constraint = _parse_constraint(_constraint_id(args, cp), args.k)
+        bands = {n: _band(cp, law, n) for n in grid}
         reps = args.replicas or {10_000: 24, 100_000: 16, 1_000_000: 12}
         report = limit_report(
-            args.experiment, law, grid, k=k, constraint=constraint,
+            args.experiment, law, grid, k=args.k, constraint=constraint,
             replicas=reps, seed=args.seed, bands=bands, threads=args.threads,
         )
     _json_dump(report, os.path.join(outdir, "report.json"))
@@ -357,6 +346,10 @@ def _build_parser():
     common.add_argument("--replicas", type=int, default=None)
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out", default=None, help="output directory")
+    # the commands that draw (tree, walk, band) replicas
+    replica = argparse.ArgumentParser(add_help=False, parents=[common])
+    replica.add_argument("--n-grid", default=None, help="comma-separated positive budgets")
+    replica.add_argument("--k", type=int, default=2)
 
     p = argparse.ArgumentParser(prog="gwrange", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -368,19 +361,13 @@ def _build_parser():
     sp = sub.add_parser("constants", parents=[common])
     sp.add_argument("--truncation", type=int, default=200)
 
-    sp = sub.add_parser("simulate", parents=[common])
-    sp.add_argument("--n-grid", default=None)
-    sp.add_argument("--k", type=int, default=2)
+    sub.add_parser("simulate", parents=[replica])
 
-    sp = sub.add_parser("genealogy", parents=[common])
-    sp.add_argument("--n-grid", default=None)
-    sp.add_argument("--k", type=int, default=2)
+    sp = sub.add_parser("genealogy", parents=[replica])
     sp.add_argument("--tuples", type=int, default=100)
 
-    sp = sub.add_parser("verify", parents=[common])
-    sp.add_argument("experiment", choices=EXPERIMENTS)
-    sp.add_argument("--n-grid", dest="n_grid", default=None)
-    sp.add_argument("--k", type=int, default=2)
+    sp = sub.add_parser("verify", parents=[replica])
+    sp.add_argument("experiment", choices=[*EXPERIMENTS, "local-time"])
     sp.add_argument("--constraint", default=None)
 
     sp = sub.add_parser("oracle", parents=[common])
@@ -402,8 +389,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "n_grid"):
-        args.n_grid = None
     outdir = args.out or os.environ.get("GWRANGE_OUT") or "gwrange_out"
     os.makedirs(outdir, exist_ok=True)
     try:

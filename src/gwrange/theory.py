@@ -10,6 +10,7 @@ through trend verdicts along a growing budget grid.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -57,6 +58,8 @@ __all__ = [
     "map_replicas",
     "tuple_stream",
     "run_band_experiment",
+    "EXPERIMENTS",
+    "limit_report_problem",
     "limit_report",
     "local_time_law_probe",
     "signature_sum_identity",
@@ -347,17 +350,6 @@ def run_band_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _c_infinity_record(cinf) -> dict:
-    return {"value": cinf.value, "error": cinf.error, "method": "deterministic"}
-
-
-def _grid_row(n, stats, target, deviation, **extra) -> dict:
-    stats = np.asarray(stats)
-    return {"n": n, "mean": float(stats.mean()),
-            "se": float(stats.std(ddof=1) / math.sqrt(len(stats))),
-            "target": target, "deviation": deviation, **extra}
-
-
 def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
     """(statistic, target) of one replica; the volume target still lacks the
     c_inf**k factor. None when the ratio's denominator vanishes. The target
@@ -376,6 +368,102 @@ def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
     return num.value / num.tuple_count, a_f / weighted_range_A_l(tree, k, lstar, None)
 
 
+def _deviation_row(n, stats, targets, relative=False) -> dict:
+    """Grid row of per-replica statistics against their targets (one array or
+    a constant); its deviation is the median |statistic - target|."""
+    stats, targets = np.array(stats, dtype=float), np.array(targets, dtype=float)
+    devs = np.abs(stats - targets)
+    row = {"n": n, "mean": float(stats.mean()),
+           "se": float(stats.std(ddof=1) / math.sqrt(len(stats))),
+           "target": float(targets.mean()), "deviation": float(np.median(devs))}
+    if relative:
+        row["relative_deviation_median"] = float(np.median(devs / targets))
+    return row
+
+
+def _volume_row(n, runs, scale):
+    return _deviation_row(n, [r.volume_stat for r in runs],
+                          [scale * r.martingale_depth for r in runs], relative=True)
+
+
+def _class_row(n, runs, scale):
+    # share of a band's pair mass not in pairwise distinct excursions, against 0
+    return _deviation_row(n, [(m["same-single"] + m["mixed"]) / m["total"]
+                              for m in (r.class_masses for r in runs) if m["total"]], 0.0)
+
+
+def _split_row(n, runs, scale):
+    # per replica, the empirical CDF of the full-split generation at m = 1..6
+    cdf = np.array([[(arr <= m).mean() for m in range(1, 7)]
+                    for arr in (np.array(r.split_samples) for r in runs if r.split_samples)])
+    se = cdf.std(axis=0, ddof=1) / math.sqrt(len(cdf))
+    return {"n": n, "mean": [float(v) for v in cdf.mean(axis=0)],
+            "se": [float(v) for v in se], "target": None, "deviation": None}
+
+
+def _constrained_row(n, pairs, scale):
+    pairs = [p for p in pairs if p is not None]
+    return _deviation_row(n, [stat for stat, _ in pairs],
+                          [scale * target for _, target in pairs])
+
+
+def _trend_verdict(slack, rows, final_bound=None) -> dict:
+    # the median |deviation| shrinks along the grid, up to a factor slack a
+    # step, and with a final_bound the last median relative deviation is below it
+    devs = [row["deviation"] for row in rows]
+    trend = all(b <= a * slack for a, b in zip(devs, devs[1:]))
+    if final_bound is None:
+        return {"deviation_non_increasing": trend, "pass": trend}
+    final = rows[-1]["relative_deviation_median"]
+    return {"deviation_non_increasing": trend, "final_relative_deviation": final,
+            "pass": trend and final < final_bound}
+
+
+def _split_verdict(rows) -> dict:
+    # the two largest budgets agree within 3 SE at every m
+    (a, se_a), (b, se_b) = ((np.array(r["mean"]), np.array(r["se"])) for r in rows[-2:])
+    stab = bool((np.abs(a - b) <= 3.0 * np.sqrt(se_a ** 2 + se_b ** 2)).all())
+    mono = all(np.all(np.diff(r["mean"]) >= -1e-12) for r in rows)
+    return {"stabilized_within_3se": stab, "monotone_in_m": mono, "pass": stab and mono}
+
+
+# One limit_report experiment: the picklable measure it maps over the replicas
+# (a constrained experiment's takes k, constraint and l_star first), the power
+# of c_inf its target reads (None, 1 or "k"), its grid row (n, replica results,
+# scale c_inf ** power or 1) -> dict, its verdict over the grid rows, whether it
+# needs a constraint, and the fewest budgets it runs on.
+_Experiment = collections.namedtuple(
+    "_Experiment", "measure c_power row verdict constrained min_budgets", defaults=(False, 1))
+
+EXPERIMENTS = {
+    "band-volume": _Experiment(functools.partial(_band_measure, False, 0), 1, _volume_row,
+                               functools.partial(_trend_verdict, 1.0, final_bound=0.35)),
+    "excursion-classes": _Experiment(functools.partial(_band_measure, True, 0), None,
+                                     _class_row, functools.partial(_trend_verdict, 1.0)),
+    # split-cdf samples the full-split generations of 200 uniform band pairs
+    "split-cdf": _Experiment(functools.partial(_band_measure, False, 200), None,
+                             _split_row, _split_verdict, min_budgets=2),
+    "constrained-volume": _Experiment(
+        functools.partial(_constrained_measure, "constrained-volume"), "k",
+        _constrained_row, functools.partial(_trend_verdict, 1.05), constrained=True),
+    "constrained-ratio": _Experiment(
+        functools.partial(_constrained_measure, "constrained-ratio"), None,
+        _constrained_row, functools.partial(_trend_verdict, 1.05), constrained=True),
+}
+
+
+def limit_report_problem(experiment: str, constraint, n_grid):
+    """Why :func:`limit_report` cannot run these arguments, or None."""
+    entry = EXPERIMENTS.get(experiment)
+    if entry is None:
+        return f"unknown experiment {experiment!r}"
+    if entry.constrained and constraint is None:
+        return f"{experiment} needs a constraint"
+    if len(n_grid) < entry.min_budgets:
+        return f"{experiment} needs {entry.min_budgets} or more budgets, got {len(n_grid)}"
+    return None
+
+
 def limit_report(
     experiment: str,
     law: EnvironmentLaw,
@@ -385,25 +473,30 @@ def limit_report(
     replicas=12,
     seed: int = 1,
     bands: dict = None,
-    tuples_per_run: int = 200,
     l_star: int = 12,
     threads: int = 1,
 ) -> dict:
     """Trend comparison of a simulated statistic against its limit target.
 
-    Experiments: ``band-volume`` (band count per excursion and generation
-    against the tilted-walk constant times the depth martingale),
-    ``excursion-classes`` (mass fraction of tuples without pairwise
+    Experiments (:data:`EXPERIMENTS`): ``band-volume`` (band count per
+    excursion and generation against the tilted-walk constant times the
+    depth martingale), ``excursion-classes`` (mass fraction of pairs without
     distinct excursions, expected to shrink), ``split-cdf`` (law of the
     full-split generation of sampled pairs, expected to stabilize),
-    ``constrained-volume`` and ``constrained-ratio`` (constrained tuple
-    sums against their per-tree deep-level proxies). Every experiment draws
-    its replicas through :func:`map_replicas` on ``threads`` workers. The
-    visit-rate constant c_inf is computed deterministically by
-    :func:`gwrange.environment.c_infinity`, only where a target reads it: for
-    ``band-volume`` and ``constrained-volume``, whose reports record it.
+    ``constrained-volume`` and ``constrained-ratio`` (constrained tuple sums
+    against their per-tree deep-level proxies). Each budget's replicas are
+    drawn by :func:`map_replicas` on ``threads`` workers. The visit-rate
+    constant c_inf is computed deterministically by
+    :func:`gwrange.environment.c_infinity`, only where a target reads it:
+    for ``band-volume`` and ``constrained-volume``, whose reports record it.
+    Arguments that :func:`limit_report_problem` refuses raise ``ValueError``
+    before any replica is drawn.
     """
     n_grid = sorted(int(n) for n in n_grid)
+    problem = limit_report_problem(experiment, constraint, n_grid)
+    if problem is not None:
+        raise ValueError(problem)
+    entry = EXPERIMENTS[experiment]
     report = {
         "theorem": experiment,
         "law": law.family,
@@ -412,106 +505,24 @@ def limit_report(
         "grid": [],
         "verdict": None,
     }
-    if isinstance(replicas, dict):
-        reps = {n: replicas.get(n, 8) for n in n_grid}
-    else:
-        reps = {n: replicas for n in n_grid}
-    bands = bands or {}
-    if experiment == "band-volume":
+    scale = 1.0
+    power = k if entry.c_power == "k" else entry.c_power
+    if power is not None:
         cinf = c_infinity(law)
-        medians = []
-        for n in n_grid:
-            runs = run_band_experiment(law, n, reps[n], seed, band=bands.get(n), threads=threads)
-            stats = np.array([r.volume_stat for r in runs])
-            targets = np.array([cinf.value * r.martingale_depth for r in runs])
-            devs = np.abs(stats - targets)
-            medians.append(float(np.median(devs)))
-            report["grid"].append(_grid_row(
-                n, stats, float(targets.mean()), medians[-1],
-                relative_deviation_median=float(np.median(devs / targets))))
-        trend = all(b <= a for a, b in zip(medians, medians[1:]))
-        final_rel = report["grid"][-1]["relative_deviation_median"]
-        report["verdict"] = {
-            "deviation_non_increasing": bool(trend),
-            "final_relative_deviation": final_rel,
-            "pass": bool(trend and final_rel < 0.35),
-        }
-        report["c_infinity"] = _c_infinity_record(cinf)
-        return report
-    if experiment == "excursion-classes":
-        fracs = []
-        for n in n_grid:
-            runs = run_band_experiment(law, n, reps[n], seed, band=bands.get(n),
-                                       with_classes=True, threads=threads)
-            per_run = []
-            for r in runs:
-                m = r.class_masses
-                if m["total"]:
-                    per_run.append((m["same-single"] + m["mixed"]) / m["total"])
-            fracs.append(float(np.median(per_run)))
-            report["grid"].append(_grid_row(n, per_run, 0.0, fracs[-1]))
-        trend = all(b <= a for a, b in zip(fracs, fracs[1:]))
-        report["verdict"] = {"deviation_non_increasing": bool(trend), "pass": bool(trend)}
-        return report
-    if experiment == "split-cdf":
-        ms = list(range(1, 7))
-        rows = []
-        for n in n_grid:
-            runs = run_band_experiment(law, n, reps[n], seed, band=bands.get(n),
-                                       tuples_per_run=tuples_per_run, threads=threads)
-            per_run_cdf = []
-            for r in runs:
-                if r.split_samples:
-                    arr = np.array(r.split_samples)
-                    per_run_cdf.append([(arr <= m).mean() for m in ms])
-            cdf = np.array(per_run_cdf)
-            mean = cdf.mean(axis=0)
-            se = cdf.std(axis=0, ddof=1) / math.sqrt(len(cdf))
-            rows.append({"n": n, "cdf": mean, "se": se})
-            report["grid"].append(
-                {
-                    "n": n,
-                    "mean": [float(v) for v in mean],
-                    "se": [float(v) for v in se],
-                    "target": None,
-                    "deviation": None,
-                }
-            )
-        a, b = rows[-2], rows[-1]
-        gap = np.abs(a["cdf"] - b["cdf"])
-        lim = 3.0 * np.sqrt(a["se"] ** 2 + b["se"] ** 2)
-        stab = bool((gap <= lim).all())
-        mono = bool(
-            all(np.all(np.diff(r["cdf"]) >= -1e-12) for r in rows)
-        )
-        report["verdict"] = {
-            "stabilized_within_3se": stab,
-            "monotone_in_m": mono,
-            "pass": bool(stab and mono),
-        }
-        return report
-    if experiment in ("constrained-volume", "constrained-ratio"):
-        if constraint is None:
-            raise ValueError("constraint required for this experiment")
-        scale = 1.0
-        if experiment == "constrained-volume":
-            cinf = c_infinity(law)
-            report["c_infinity"] = _c_infinity_record(cinf)
-            scale = cinf.value ** k
-        measure = functools.partial(_constrained_measure, experiment, k, constraint, l_star)
-        medians = []
-        for n in n_grid:
-            runs = map_replicas(law, n, reps[n], seed, bands.get(n), measure, threads)
-            pairs = [p for p in runs if p is not None]
-            stats = [stat for stat, _ in pairs]
-            targets = [scale * target for _, target in pairs]
-            devs = [abs(stat - target) for stat, target in zip(stats, targets)]
-            medians.append(float(np.median(devs)))
-            report["grid"].append(_grid_row(n, stats, float(np.mean(targets)), medians[-1]))
-        trend = all(b <= a * 1.05 for a, b in zip(medians, medians[1:]))
-        report["verdict"] = {"deviation_non_increasing": bool(trend), "pass": bool(trend)}
-        return report
-    raise ValueError(f"unknown experiment {experiment!r}")
+        report["c_infinity"] = {"value": cinf.value, "error": cinf.error,
+                                "method": "deterministic"}
+        scale = cinf.value ** power
+    if not isinstance(replicas, dict):
+        replicas = dict.fromkeys(n_grid, replicas)
+    bands = bands or {}
+    measure = entry.measure
+    if entry.constrained:
+        measure = functools.partial(measure, k, constraint, l_star)
+    for n in n_grid:
+        results = map_replicas(law, n, replicas.get(n, 8), seed, bands.get(n), measure, threads)
+        report["grid"].append(entry.row(n, results, scale))
+    report["verdict"] = entry.verdict(report["grid"])
+    return report
 
 
 def local_time_law_probe(

@@ -83,9 +83,12 @@ class TestSubcommands:
 # commands that draw (tree, walk, band) replicas; the digests of their
 # artifacts below were taken from the branching walk sampler on trees drawn
 # one generation ahead of the walk
+GRID = ["--n-grid", "2000,4000", "--replicas", "3", "--seed", "5"]
 REPLICA_COMMANDS = {
-    "excursion-classes": ["verify", "excursion-classes", "--n-grid", "2000",
-                          "--replicas", "4", "--seed", "8"],
+    "band-volume": ["verify", "band-volume"] + GRID,
+    "excursion-classes": ["verify", "excursion-classes"] + GRID,
+    "split-cdf": ["verify", "split-cdf"] + GRID,
+    "constrained-volume": ["verify", "constrained-volume", "--constraint", "F:1:3"] + GRID,
     "simulate": ["simulate", "--n-grid", "2000", "--replicas", "2", "--seed", "4"],
     "genealogy": ["genealogy", "--n-grid", "2000", "--replicas", "2", "--tuples", "20",
                   "--seed", "4", "--k", "3"],
@@ -100,6 +103,15 @@ PINNED_DIGESTS = {
                   "37d092bcdf5f0ae79a6719e76a99736a11a94fce76cf8ffdfa3c7a8d63a14ed9"),
     "constrained-ratio": ("report.json",
                           "7da31d21a04e847dc092f9b46e0f558fa7e9c3b960c1b360b8ca50d09bae204a"),
+    # the limit_report experiments, taken before they moved to one experiment table
+    "band-volume": ("report.json",
+                    "d88db5c5cae0e216d6b3abc58523cb0871da9cbe841ed143dd614fe06ad28831"),
+    "excursion-classes": ("report.json",
+                          "ce99b52104e7ac671a30bee879ed3673650e3262a2bb137d33329ad4a2c82b28"),
+    "split-cdf": ("report.json",
+                  "ae7e7bd90909dcab7a86e19020cf3380cb51599c5d7a727ce2080c3a823258be"),
+    "constrained-volume": ("report.json",
+                           "3812d36545f2e7651af7b6744af6d8f6036c37f21577923fd6c8629d1428b8a5"),
 }
 
 
@@ -134,6 +146,15 @@ class TestReproducibility:
         assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
 
 
+def assert_refused(outdir, capsys, code, command):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: ") and err.count("\n") == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["failure"]
+    assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json"]
+
+
 class TestFailureHandling:
     def test_manifest_on_config_error(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -158,17 +179,27 @@ class TestFailureHandling:
         ["simulate", "--k", "1"],
         ["verify", "band-volume", "--replicas", "1"],
         ["verify", "split-cdf", "--replicas", "1"],
+        ["verify", "constrained-volume"],
+        ["verify", "constrained-ratio", "--constraint", "one"],
     ], ids=["unknown-constraint", "bad-constraint-argument", "simulate-k1",
-            "band-volume-one-replica", "split-cdf-one-replica"])
+            "band-volume-one-replica", "split-cdf-one-replica",
+            "constrained-volume-no-constraint", "constrained-ratio-constraint-one"])
     def test_bad_arguments_refused_before_work(self, tmp_path, capsys, args):
         # one line on stderr, exit 2 and a manifest, with no replica drawn
         code = run(args + ["--n-grid", "2000,4000", "--seed", "3"], tmp_path)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"{args[0]}: ") and err.count("\n") == 1
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["status"] == "failed" and manifest["failure"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+        assert_refused(tmp_path, capsys, code, args[0])
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "split-cdf", "--n-grid", "2000"],
+        ["verify", "band-volume", "--n-grid", "abc"],
+        ["simulate", "--n-grid", "2000,"],
+        ["genealogy", "--n-grid", "0"],
+        ["verify", "excursion-classes", "--n-grid", "-5"],
+        ["simulate", "--n-grid", "2000,,4000"],
+    ], ids=["split-cdf-one-budget", "verify-letters", "simulate-trailing-comma",
+            "genealogy-zero", "verify-negative", "simulate-empty-budget"])
+    def test_bad_grid_refused_before_work(self, tmp_path, capsys, args):
+        assert_refused(tmp_path, capsys, run(args + ["--seed", "3"], tmp_path), args[0])
 
     def test_constants_refuses_one_replica(self, tmp_path, capsys):
         # a one-path Monte Carlo c_inf has no standard error to report

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 
 import pytest
 
@@ -250,6 +253,37 @@ class TestReports:
         else:
             assert rep["c_infinity"]["method"] == "deterministic"
             assert rep["c_infinity"]["value"] == g.c_infinity(law).value
+
+
+    @pytest.mark.parametrize("experiment, constraint, grid, reason", [
+        ("bogus", None, [2000, 4000], "unknown experiment 'bogus'"),
+        ("constrained-volume", None, [2000, 4000], "constrained-volume needs a constraint"),
+        ("constrained-ratio", None, [2000], "constrained-ratio needs a constraint"),
+        ("split-cdf", None, [2000], "split-cdf needs 2 or more budgets, got 1"),
+        ("band-volume", None, [], "band-volume needs 1 or more budgets, got 0"),
+    ], ids=["unknown", "volume-no-constraint", "ratio-no-constraint", "split-one-budget",
+            "empty-grid"])
+    def test_refused_before_any_replica(self, law, monkeypatch, experiment, constraint,
+                                        grid, reason):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replica was drawn")
+
+        monkeypatch.setattr(theory, "map_replicas", refuse)
+        monkeypatch.setattr(theory, "c_infinity", refuse)
+        assert theory.limit_report_problem(experiment, constraint, grid) == reason
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            g.limit_report(experiment, law, grid, constraint=constraint, replicas=3)
+
+    def test_limit_report_names_no_experiment(self):
+        # experiments differ only by their table entry: below its docstring,
+        # limit_report compares against no experiment name
+        assert list(theory.EXPERIMENTS) == ["band-volume", "excursion-classes", "split-cdf",
+                                            "constrained-volume", "constrained-ratio"]
+        body = ast.parse(textwrap.dedent(inspect.getsource(theory.limit_report))).body[0].body
+        consts = {node.value for stmt in body[1:] for node in ast.walk(stmt)
+                  if isinstance(node, ast.Constant)}
+        assert consts.isdisjoint(theory.EXPERIMENTS)
+        assert "tuples_per_run" not in inspect.signature(g.limit_report).parameters
 
 
 class TestBandWithoutAdmissibleTuple:
