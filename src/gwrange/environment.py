@@ -50,7 +50,6 @@ __all__ = [
     "Schedule",
     "compute_schedule",
     "rate_delta0",
-    "iterated_log",
     "band_shrink_values",
     "law_to_text",
     "law_from_text",
@@ -296,12 +295,12 @@ def is_calibrated(law: EnvironmentLaw, tol: float = CALIBRATION_TOL) -> bool:
     return abs(log_laplace(law, 1.0)) <= tol
 
 
-def kappa(law: EnvironmentLaw, t_max: float = KAPPA_T_MAX, tol: float = ROOT_TOL) -> float:
-    """Second zero of the transform on (1, t_max]; inf when none exists there.
+def kappa(law: EnvironmentLaw) -> float:
+    """Second zero of the transform on (1, KAPPA_T_MAX]; inf when none exists there.
 
     Requires calibration (psi(1)=0) and negative drift at 1. The sentinel
     ``math.inf`` is returned only after verifying the transform stays
-    negative and is still decreasing at t_max.
+    negative and is still decreasing at ``KAPPA_T_MAX``.
     """
     if not is_calibrated(law, tol=ROOT_TOL):
         raise CalibrationError("psi(1) != 0; calibrate the law first")
@@ -312,21 +311,21 @@ def kappa(law: EnvironmentLaw, t_max: float = KAPPA_T_MAX, tol: float = ROOT_TOL
     hi = None
     t = 1.0
     step = 0.25
-    while t < t_max:
-        t = min(t + step, t_max)
+    while t < KAPPA_T_MAX:
+        t = min(t + step, KAPPA_T_MAX)
         v = log_laplace(law, t)
         if v > 0.0:
             hi = t
             break
         lo = t
     if hi is None:
-        if log_laplace(law, t_max) < 0.0 and log_laplace_prime(law, t_max) < 0.0:
+        if log_laplace(law, KAPPA_T_MAX) < 0.0 and log_laplace_prime(law, KAPPA_T_MAX) < 0.0:
             return math.inf
-        raise DomainError("transform neither crosses zero nor decreases at t_max")
+        raise DomainError("transform neither crosses zero nor decreases at KAPPA_T_MAX")
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         v = log_laplace(law, mid)
-        if abs(v) < tol * 1e-3:
+        if abs(v) < ROOT_TOL * 1e-3:
             return mid
         if v < 0.0:
             lo = mid
@@ -335,38 +334,44 @@ def kappa(law: EnvironmentLaw, t_max: float = KAPPA_T_MAX, tol: float = ROOT_TOL
     return 0.5 * (lo + hi)
 
 
-def _inf_psi_01(law: EnvironmentLaw) -> float:
-    """Minimum of the transform over [0,1] (convex: golden-section)."""
-    lo, hi = 0.0, 1.0
+def _golden_min(f, lo: float, hi: float) -> float:
+    """Golden-section minimum of a convex f over [lo, hi]: the lower of the
+    two inner values once the bracket is below 1e-12 wide (at most 200 cuts)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
-    fc, fd = log_laplace(law, c), log_laplace(law, d)
+    fc, fd = f(c), f(d)
     for _ in range(200):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
-            fc = log_laplace(law, c)
+            fc = f(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
-            fd = log_laplace(law, d)
+            fd = f(d)
         if hi - lo < 1e-12:
             break
-    return min(fc, fd, log_laplace(law, 0.0), log_laplace(law, 1.0))
+    return min(fc, fd)
 
 
-def classify_regime(law: EnvironmentLaw, tol: float = 1e-9) -> str:
+def _inf_psi_01(law: EnvironmentLaw) -> float:
+    """Minimum of the transform over [0,1] (convex: golden-section)."""
+    inner = _golden_min(lambda t: log_laplace(law, t), 0.0, 1.0)
+    return min(inner, log_laplace(law, 0.0), log_laplace(law, 1.0))
+
+
+def classify_regime(law: EnvironmentLaw) -> str:
     """Walk regime implied by the transform's shape on [0,1] and beyond."""
     inf01 = _inf_psi_01(law)
-    if inf01 > tol:
+    if inf01 > ROOT_TOL:
         return "transient"
-    if inf01 < -tol:
+    if inf01 < -ROOT_TOL:
         return "positive-recurrent"
     slope = log_laplace_prime(law, 1.0)
-    if slope > tol:
+    if slope > ROOT_TOL:
         return "positive-recurrent"
-    if abs(slope) <= tol:
+    if abs(slope) <= ROOT_TOL:
         return "null-recurrent-slow"
     k = kappa(law)
     if k > 2.0:
@@ -426,11 +431,11 @@ def c_zero(law: EnvironmentLaw) -> float:
 # ---------------------------------------------------------------------------
 
 
-def many_to_one_step_law(law: EnvironmentLaw, tol: float = ROOT_TOL):
+def many_to_one_step_law(law: EnvironmentLaw):
     """Discrete step law of the size-biased (tilted) walk.
 
     Atoms: each child displacement d receives mass p * exp(-d). Requires
-    the masses to sum to 1 (calibration).
+    the masses to sum to 1 within ``ROOT_TOL`` (calibration).
     """
     if law.family == "gaussian":
         raise DomainError("step law is continuous for the gaussian family")
@@ -439,7 +444,7 @@ def many_to_one_step_law(law: EnvironmentLaw, tol: float = ROOT_TOL):
         for d in disp:
             masses[d] = masses.get(d, 0.0) + p * math.exp(-d)
     total = sum(masses.values())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > ROOT_TOL:
         raise CalibrationError(f"tilted masses sum to {total}, not 1")
     values = sorted(masses)
     return [(v, masses[v]) for v in values]
@@ -497,6 +502,14 @@ def _tilted_perpetuity(law: EnvironmentLaw, steps: int, rng: np.random.Generator
     return out
 
 
+def _mean_se(vals: np.ndarray) -> tuple:
+    """(mean, standard error of the mean) of a sample, as floats; None for a
+    mean of no value and for a standard error of one."""
+    n = len(vals)
+    return (float(vals.mean()) if n else None,
+            float(vals.std(ddof=1) / math.sqrt(n)) if n >= 2 else None)
+
+
 @dataclass(frozen=True)
 class CInfinityEstimate:
     value: float
@@ -536,9 +549,8 @@ def estimate_c_infinity(
     lo = 1.0 - math.exp(log_laplace(law, 2.0))
     if truncation == 0:
         return CInfinityEstimate(1.0, 0.0, 0, replicas, (lo, 1.0))
-    vals = 1.0 / _tilted_perpetuity(law, truncation, rng, replicas, 1.0, backward=True)
-    value = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(replicas))
+    value, se = _mean_se(1.0 / _tilted_perpetuity(law, truncation, rng, replicas, 1.0,
+                                                   backward=True))
     return CInfinityEstimate(value, se, truncation, replicas, (lo, 1.0))
 
 
@@ -723,40 +735,9 @@ def rate_delta0(law: EnvironmentLaw, kap: float = None) -> float:
     """
     if kap is None:
         kap = kappa(law)
-    hi = min(kap, KAPPA_T_MAX)
-    lo = 1.0 + 1e-9
-    hi = hi - 1e-9
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def g(t):
-        return -log_laplace(law, t) / t
-
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = g(c), g(d)
-    for _ in range(200):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = g(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = g(d)
-        if hi - lo < 1e-12:
-            break
-    peak = max(fc, fd)
+    peak = -_golden_min(lambda t: log_laplace(law, t) / t, 1.0 + 1e-9,
+                        min(kap, KAPPA_T_MAX) - 1e-9)
     return 0.9 * peak / 3.0
-
-
-def iterated_log(i: int, t: float) -> float:
-    """i-fold natural logarithm; identity at i=0."""
-    v = float(t)
-    for _ in range(i):
-        if v <= 0.0:
-            raise DomainError("iterated log of a non-positive value")
-        v = math.log(v)
-    return v
 
 
 @dataclass(frozen=True)
@@ -766,7 +747,7 @@ class Schedule:
     ``warmup`` is the coalescence boundary a_n, ``lower``/``upper`` the
     generation band, ``width`` its height. Band formulas use base-10
     logarithms; the slow-growth factor in the admissibility check is the
-    l0-fold natural logarithm.
+    natural logarithm.
     """
 
     delta0: float
@@ -774,7 +755,6 @@ class Schedule:
     warmup: int
     lower: int
     upper: int
-    l0: int = 1
 
     @property
     def width(self) -> int:
@@ -785,14 +765,13 @@ class Schedule:
         return int(math.ceil(math.sqrt(self.n)))
 
     def shrink_value(self) -> float:
-        """upper * Lambda_{l0}(upper) / sqrt(n); must decrease along n-grids."""
-        return self.upper * iterated_log(self.l0, self.upper) / math.sqrt(self.n)
+        """upper * log(upper) / sqrt(n); must decrease along n-grids."""
+        return self.upper * math.log(self.upper) / math.sqrt(self.n)
 
 
 def compute_schedule(
     law: EnvironmentLaw,
     n: int,
-    l0: int = 1,
     lower: int = None,
     upper: int = None,
 ) -> Schedule:
@@ -820,7 +799,7 @@ def compute_schedule(
             f"band upper edge {big} exceeds sqrt(n)={math.sqrt(n):.1f} at n={n}",
             min_feasible_n=min_n,
         )
-    return Schedule(delta0=d0, n=int(n), warmup=warmup, lower=ell, upper=big, l0=l0)
+    return Schedule(delta0=d0, n=int(n), warmup=warmup, lower=ell, upper=big)
 
 
 def _min_feasible_n(d0: float) -> int:
@@ -832,9 +811,9 @@ def _min_feasible_n(d0: float) -> int:
     return n
 
 
-def band_shrink_values(law: EnvironmentLaw, n_grid, l0: int = 1, **kw) -> list:
+def band_shrink_values(law: EnvironmentLaw, n_grid, **kw) -> list:
     """shrink_value along an n-grid (admissibility requires a decreasing run)."""
-    return [compute_schedule(law, n, l0=l0, **kw).shrink_value() for n in n_grid]
+    return [compute_schedule(law, n, **kw).shrink_value() for n in n_grid]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SignatureError, TupleError
-from .tree import MarkedTree, ancestor_at, is_ancestor, mrca_generation
+from .tree import MarkedTree, ancestor_at, ancestral_pair, mrca_generation
 
 __all__ = [
     "Partition",
@@ -188,12 +188,7 @@ class IncreasingCollection:
 
     def split_counts(self, p: int) -> list:
         """b_{p-1}(B_j) for each block j of level p-1: how many level-p blocks it unites."""
-        prev, nxt = self.levels[p - 1], self.levels[p]
-        out = []
-        for b in prev.blocks:
-            members = set(b)
-            out.append(sum(1 for c in nxt.blocks if set(c) <= members))
-        return out
+        return [len(sizes) for sizes in self.beta_profile(p)]
 
     def beta_profile(self, p: int) -> list:
         """Per block j of level p-1, the tuple of level-p sub-block sizes.
@@ -261,13 +256,10 @@ def enumerate_increasing_collections(k: int, length: int = None):
 
 
 def _validate_tuple(tree: MarkedTree, xs) -> None:
-    for i, j in itertools.combinations(range(len(xs)), 2):
-        u, v = xs[i], xs[j]
-        if u == v:
-            raise TupleError("tuple has repeated vertices")
-        a, b = (u, v) if tree.gen[u] <= tree.gen[v] else (v, u)
-        if is_ancestor(tree, a, b):
-            raise TupleError(f"{a} is an ancestor of {b}")
+    pair = ancestral_pair(tree, xs)
+    if pair is not None:
+        a, b = pair
+        raise TupleError("tuple has repeated vertices" if a == b else f"{a} is an ancestor of {b}")
 
 
 def first_full_split(tree: MarkedTree, xs) -> int:
@@ -378,13 +370,10 @@ def genealogy_indicator(tree: MarkedTree, xs, times, coll: IncreasingCollection)
     """Product over steps of the two level conditions around each time.
 
     1 exactly when the tuple's splits happen at the given times with the
-    given partitions. Malformed (times, collection) pairs raise.
+    given partitions. Malformed (times, collection) pairs raise, as in
+    :class:`GenealogySignature`.
     """
-    times = tuple(times)
-    if len(times) != coll.depth:
-        raise SignatureError("need one time per refinement step")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise SignatureError("times must be strictly increasing")
+    times = GenealogySignature(tuple(times), coll).times
     for i, t in enumerate(times, start=1):
         if not upsilon_member(tree, xs, t - 1, coll.levels[i - 1]):
             return 0

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .environment import EnvironmentLaw, _tilted_perpetuity
+from .environment import EnvironmentLaw, _mean_se, _tilted_perpetuity
 from .errors import AncestryError
 from .genealogy import Constraint, constant_one
 from .rangestats import _check_constraint, forest_tuple_sum
@@ -25,7 +25,6 @@ from .tree import (
     conductance_levels,
     is_ancestor,
     sample_forest,
-    save_snapshot,
 )
 
 __all__ = [
@@ -34,6 +33,9 @@ __all__ = [
     "quenched_mean_quasi_independent",
     "phi",
 ]
+
+# Largest depth p - warmup that phi's "auto" mode sums on trees.
+PHI_TREE_DEPTH = 14
 
 
 def hit_before_return(tree: MarkedTree, z: int, x: int) -> float:
@@ -69,8 +71,7 @@ def hit_before_return_oracle(tree: MarkedTree, z: int, x: int) -> float:
     n = tree.size
     w = tree.exp_neg_v
     down = np.zeros(n)
-    if tree.halo_weight is not None:
-        down[tree.gen_offsets[tree.depth] : tree.gen_offsets[tree.depth + 1]] = tree.halo_weight
+    down[tree.gen_offsets[tree.depth] : tree.gen_offsets[tree.depth + 1]] = tree.halo_weight
     kids = np.flatnonzero(tree.parent >= 0)
     par = tree.parent[kids]
     total = w + np.bincount(par, weights=w[kids], minlength=n) + down
@@ -86,16 +87,6 @@ def hit_before_return_oracle(tree: MarkedTree, z: int, x: int) -> float:
     b = np.zeros(n)
     b[x] = 1.0
     return float(spsolve(A, b)[z])
-
-
-def cross_check(tree, z, x, tol=1e-9, dump_path=None) -> float:
-    """|closed form - oracle|, dumping the tree when the gap exceeds tol."""
-    a = hit_before_return(tree, z, x)
-    b = hit_before_return_oracle(tree, z, x)
-    gap = abs(a - b)
-    if gap > tol and dump_path is not None:
-        save_snapshot(tree, dump_path)
-    return gap
 
 
 def quenched_mean_quasi_independent(
@@ -150,7 +141,6 @@ def phi(
     replicas: int = 20_000,
     rng: np.random.Generator = None,
     mode: str = "auto",
-    depth_cap: int = 14,
 ):
     """Mean of exp(-V(x)) / ((r-1) exp(-V(x)) + H_x) over generation p - warmup.
 
@@ -165,8 +155,9 @@ def phi(
     e^{S_j - S_d}, with no path matrix and no exponential per step. Its
     draws are those of :func:`gwrange.environment.sample_tilted_walk` on
     ``rng``, and each value agrees with the exp-cumsum form on those paths
-    up to rounding. ``auto`` picks by depth. ``replicas`` must be at least
-    2, for the standard error.
+    up to rounding. ``auto`` picks tree mode up to depth ``PHI_TREE_DEPTH``
+    and tilted mode beyond. ``replicas`` must be at least 2, for the
+    standard error.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -180,10 +171,9 @@ def phi(
     if d == 0:
         return 1.0 / ((r - 1.0) + 1.0), 0.0
     if mode == "auto":
-        mode = "tree" if d <= depth_cap else "tilted"
+        mode = "tree" if d <= PHI_TREE_DEPTH else "tilted"
     if mode == "tilted":
-        vals = 1.0 / _tilted_perpetuity(law, d, rng, replicas, r, backward=False)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+        return _mean_se(1.0 / _tilted_perpetuity(law, d, rng, replicas, r, backward=False))
     if mode != "tree":
         raise ValueError(f"unknown mode {mode!r}")
     vals = []
@@ -191,5 +181,4 @@ def phi(
         e = np.exp(-f.V[-1])
         h = conductance_levels(f)[-1]
         vals.append(f.tree_sums(e / ((r - 1.0) * e + h)))
-    vals = np.concatenate(vals)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+    return _mean_se(np.concatenate(vals))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CombinatorialCapError, EmptySupportError
-from .tree import Forest, MarkedTree, enumerate_delta_k, is_ancestor
+from .tree import Forest, MarkedTree, ancestral_pair, enumerate_delta_k
 from .walk import RangeSlice
 from .genealogy import (
     Constraint,
@@ -326,13 +326,7 @@ def sample_uniform_tuple(slice_: RangeSlice, k: int, rng: np.random.Generator):
             raise EmptySupportError("admissible tuple set is empty")
         pick = rng.choice(n, size=k, replace=False)
         tup = tuple(int(ids[i]) for i in pick)
-        ok = True
-        for a, b in itertools.combinations(tup, 2):
-            lo, hi = (a, b) if tree.gen[a] <= tree.gen[b] else (b, a)
-            if is_ancestor(tree, lo, hi):
-                ok = False
-                break
-        if ok:
+        if ancestral_pair(tree, tup) is None:
             return tup
     raise EmptySupportError(
         f"rejection failed after {SAMPLE_MAX_ATTEMPTS} attempts on nonempty support"

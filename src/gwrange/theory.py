@@ -4,15 +4,15 @@ The closed forms evaluate the annealed mean of potential-weighted tuple
 sums with a prescribed genealogical signature as a product of one-
 generation joint moments and persistence factors of the log-Laplace
 transform. The harness confronts desk-scale walk simulations with the
-limit predictions: exact identities are checked exactly, limit statements
-through trend verdicts along a growing budget grid.
+limit predictions through verdicts along a growing budget grid; a verdict
+fails, and says why, when a budget leaves fewer than two replicas with a
+value.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +21,7 @@ import numpy as np
 from . import rng as rngmod
 from .environment import (
     EnvironmentLaw,
+    _mean_se,
     c_infinity,
     c_zero,
     kappa,
@@ -30,11 +31,9 @@ from .environment import (
 from .errors import DomainError, ScheduleInfeasibleError, SignatureError
 from .genealogy import (
     Constraint,
+    GenealogySignature,
     IncreasingCollection,
-    coalescent_times,
-    enumerate_increasing_collections,
     first_full_split,
-    make_F_ell_s,
     pairwise_split_requirements,
 )
 from .rangestats import (
@@ -62,14 +61,19 @@ __all__ = [
     "limit_report_problem",
     "limit_report",
     "local_time_law_probe",
-    "signature_sum_identity",
-    "split_bound_sum_identity",
 ]
 
 
 # ---------------------------------------------------------------------------
 # closed form for signature-constrained tuple sums
 # ---------------------------------------------------------------------------
+
+
+def _split_times(k: int, svec, coll: IncreasingCollection) -> tuple:
+    """``svec`` as split times of ``coll`` on k slots, checked by GenealogySignature."""
+    if coll.k != k:
+        raise SignatureError("collection ground set does not match k")
+    return GenealogySignature(tuple(int(v) for v in svec), coll).times
 
 
 def esp_partition_law(
@@ -89,13 +93,7 @@ def esp_partition_law(
     recursion (``prefactor="derived"``, the default); ``"literal"``
     selects exp(psi(k)) instead, and the two coincide only at s_1 = 2.
     """
-    svec = tuple(int(v) for v in svec)
-    if coll.k != k:
-        raise SignatureError("collection ground set does not match k")
-    if len(svec) != coll.depth:
-        raise SignatureError("need one split time per refinement step")
-    if any(b <= a for a, b in zip(svec, svec[1:])) or (svec and svec[0] < 1):
-        raise SignatureError("split times must be strictly increasing and >= 1")
+    svec = _split_times(k, svec, coll)
     if enforce_assumptions:
         # the limit statement behind this mean needs kappa > 2k; the product
         # itself stays well defined for finite-atom laws, so structural
@@ -151,17 +149,12 @@ def estimate_esp_partition(
     """
     if abs(log_laplace(law, 1.0)) > 1e-9:
         raise DomainError("law is not calibrated: transform does not vanish at 1")
-    svec = tuple(int(v) for v in svec)
-    if coll.k != k or len(svec) != coll.depth:
-        raise SignatureError("collection/split-time shape mismatch")
-    per_tree = np.concatenate([
+    svec = _split_times(k, svec, coll)
+    return _mean_se(np.concatenate([
         signature_sum(f, svec, coll, [[0.0] * svec[-1] + [np.exp(-f.V[-1])]] * k)
         if fast else _reference_sums(f, k, svec, coll)
         for f in sample_forest(law, svec[-1], replicas, rng)
-    ])
-    est = float(per_tree.mean())
-    se = float(per_tree.std(ddof=1) / math.sqrt(replicas))
-    return est, se
+    ]))
 
 
 def _reference_sums(forest, k, svec, coll):
@@ -370,14 +363,15 @@ def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
 
 def _deviation_row(n, stats, targets, relative=False) -> dict:
     """Grid row of per-replica statistics against their targets (one array or
-    a constant); its deviation is the median |statistic - target|."""
+    a constant); its deviation is the median |statistic - target|. Without
+    statistics every value is None, and with one the SE is."""
     stats, targets = np.array(stats, dtype=float), np.array(targets, dtype=float)
-    devs = np.abs(stats - targets)
-    row = {"n": n, "mean": float(stats.mean()),
-           "se": float(stats.std(ddof=1) / math.sqrt(len(stats))),
-           "target": float(targets.mean()), "deviation": float(np.median(devs))}
+    mean, se = _mean_se(stats)
+    devs, some = np.abs(stats - targets), len(stats) > 0
+    row = {"n": n, "mean": mean, "se": se, "target": float(targets.mean()) if some else None,
+           "deviation": float(np.median(devs)) if some else None}
     if relative:
-        row["relative_deviation_median"] = float(np.median(devs / targets))
+        row["relative_deviation_median"] = float(np.median(devs / targets)) if some else None
     return row
 
 
@@ -393,12 +387,16 @@ def _class_row(n, runs, scale):
 
 
 def _split_row(n, runs, scale):
-    # per replica, the empirical CDF of the full-split generation at m = 1..6
+    # per replica with split samples, the empirical CDF of the full-split
+    # generation at m = 1..6; no mean without such a replica, no SE with one
     cdf = np.array([[(arr <= m).mean() for m in range(1, 7)]
                     for arr in (np.array(r.split_samples) for r in runs if r.split_samples)])
-    se = cdf.std(axis=0, ddof=1) / math.sqrt(len(cdf))
-    return {"n": n, "mean": [float(v) for v in cdf.mean(axis=0)],
-            "se": [float(v) for v in se], "target": None, "deviation": None}
+    row = {"n": n, "mean": None, "se": None, "target": None, "deviation": None}
+    if len(cdf):
+        row["mean"] = [float(v) for v in cdf.mean(axis=0)]
+    if len(cdf) >= 2:
+        row["se"] = [float(v) for v in cdf.std(axis=0, ddof=1) / math.sqrt(len(cdf))]
+    return row
 
 
 def _constrained_row(n, pairs, scale):
@@ -407,9 +405,22 @@ def _constrained_row(n, pairs, scale):
                           [scale * target for _, target in pairs])
 
 
+def _short_budget_verdict(rows):
+    """A failing verdict naming the budgets where fewer than two replicas
+    gave a value (their rows have no SE), or None when there is none."""
+    short = [row["n"] for row in rows if row["se"] is None]
+    if not short:
+        return None
+    return {"pass": False, "reason": "fewer than two replicas gave a value at n = "
+                                     + ", ".join(map(str, short))}
+
+
 def _trend_verdict(slack, rows, final_bound=None) -> dict:
     # the median |deviation| shrinks along the grid, up to a factor slack a
     # step, and with a final_bound the last median relative deviation is below it
+    short = _short_budget_verdict(rows)
+    if short:
+        return short
     devs = [row["deviation"] for row in rows]
     trend = all(b <= a * slack for a, b in zip(devs, devs[1:]))
     if final_bound is None:
@@ -421,6 +432,9 @@ def _trend_verdict(slack, rows, final_bound=None) -> dict:
 
 def _split_verdict(rows) -> dict:
     # the two largest budgets agree within 3 SE at every m
+    short = _short_budget_verdict(rows)
+    if short:
+        return short
     (a, se_a), (b, se_b) = ((np.array(r["mean"]), np.array(r["se"])) for r in rows[-2:])
     stab = bool((np.abs(a - b) <= 3.0 * np.sqrt(se_a ** 2 + se_b ** 2)).all())
     mono = all(np.all(np.diff(r["mean"]) >= -1e-12) for r in rows)
@@ -587,75 +601,3 @@ def local_time_law_probe(
             all(b["ks_distance"] <= a["ks_distance"] for a, b in zip(feas, feas[1:]))
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# exact per-tree identities
-# ---------------------------------------------------------------------------
-
-
-def signature_sum_identity(tree, k: int, level: int) -> dict:
-    """Per-tree partition of unity of the signature indicators.
-
-    Every admissible tuple at one generation carries exactly one signature
-    with times up to that generation, so summing the constrained weighted
-    tuple sums over all signatures reproduces the unconstrained sum. Both
-    sides are exact sums of the same multiset of terms, making the
-    comparison bitwise.
-    """
-    from .genealogy import genealogy_indicator
-
-    colls = {
-        d: list(enumerate_increasing_collections(k, length=d)) for d in range(1, k)
-    }
-    ids = tree.generation_ids(level)
-    weights = [tree.exp_neg_v[ids]] * k
-    seen = set()
-
-    def hits(tree, tup):
-        out = 0
-        for d, cs in colls.items():
-            for times in itertools.combinations(range(1, level + 1), d):
-                out += sum(genealogy_indicator(tree, tup, times, coll) for coll in cs)
-        seen.add(out)
-        return out
-
-    lhs, _ = reference_tuple_sum(tree, ids, k, hits, weights)
-    rhs, _ = reference_tuple_sum(tree, ids, k, None, weights)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "bitwise": lhs == rhs,
-        "unique_signature_per_tuple": seen <= {1},
-    }
-
-
-def split_bound_sum_identity(tree, k: int, level: int, bound: int) -> dict:
-    """Per-tree normalization of the fixed-split-time family.
-
-    Summing the time-resolved signature families over all admissible split
-    counts and time vectors below the bound reproduces the indicator of a
-    full split by the bound, tuple by tuple.
-    """
-    fams = []
-    for ell in range(1, k):
-        for times in itertools.combinations(range(1, bound + 1), ell):
-            fams.append(make_F_ell_s(ell, times, k))
-    ids = tree.generation_ids(level)
-    weights = [tree.exp_neg_v[ids]] * k
-    mismatches = []
-
-    def indicator(tree, tup):
-        return 1.0 if first_full_split(tree, tup) <= bound else 0.0
-
-    def family_sum(tree, tup):
-        # each family's per-tuple value, read off the tuple's signature once
-        sig = coalescent_times(tree, tup)
-        val = sum(f.by_signature(sig.times, sig.collection) for f in fams)
-        if val != indicator(tree, tup):
-            mismatches.append(tup)
-        return val
-
-    lhs, _ = reference_tuple_sum(tree, ids, k, family_sum, weights)
-    rhs, _ = reference_tuple_sum(tree, ids, k, indicator, weights)
-    return {"lhs": lhs, "rhs": rhs, "bitwise": lhs == rhs, "pointwise": not mismatches}

@@ -24,6 +24,7 @@ is single threaded, replicas parallelize.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +49,7 @@ __all__ = [
     "sample_forest",
     "enumerate_delta_k",
     "is_ancestor",
+    "ancestral_pair",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -77,7 +79,7 @@ class MarkedTree:
     n_children: np.ndarray
     gen_offsets: np.ndarray  # shape (depth+2,), node-id range of generation g
     depth: int
-    halo_weight: np.ndarray = None  # per frontier node: sum exp(-V(child)) below
+    halo_weight: np.ndarray  # per frontier node: sum exp(-V(child)) below
     law: EnvironmentLaw = None
     seed: int = None
     regen_attempts: int = 0
@@ -125,8 +127,6 @@ class MarkedTree:
         """Total kernel weight of the unmaterialized children of a frontier node."""
         if self.gen[x] != self.depth:
             raise QueryError(f"{x} is not at the truncation frontier")
-        if self.halo_weight is None:
-            return 0.0
         return float(self.halo_weight[x - self.gen_offsets[self.depth]])
 
     def ancestor_chain(self, x: int) -> np.ndarray:
@@ -271,7 +271,6 @@ def generate(
     depth: int,
     rng: np.random.Generator = None,
     seed: int = None,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> MarkedTree:
     """Generate a marked tree truncated at ``depth``.
 
@@ -297,12 +296,12 @@ def generate(
     if (rng is None) == (seed is None):
         raise ValueError("pass exactly one of rng, seed")
     expected = _expected_nodes(law, depth)
-    if expected > node_cap:
+    if expected > DEFAULT_NODE_CAP:
         raise ResourceLimitError(
-            f"expected node count {expected:.3g} exceeds cap {node_cap}"
+            f"expected node count {expected:.3g} exceeds cap {DEFAULT_NODE_CAP}"
         )
     for attempt in range(10_000):
-        tree = _generate_once(law, depth, rng, seed, attempt, node_cap)
+        tree = _generate_once(law, depth, rng, seed, attempt)
         if tree is not None:
             tree.regen_attempts = attempt
             return tree
@@ -340,7 +339,7 @@ def _level_rng(rng, seed, attempt, level):
     return rngmod.stream(seed, f"tree/{attempt}", level)
 
 
-def _generate_once(law, depth, rng, seed, attempt, node_cap):
+def _generate_once(law, depth, rng, seed, attempt):
     parents = [np.array([PARENT_OF_ROOT], dtype=np.int64)]
     disps = [np.zeros(1)]
     vs = [np.zeros(1)]
@@ -353,8 +352,8 @@ def _generate_once(law, depth, rng, seed, attempt, node_cap):
         n_new = int(counts.sum())
         if n_new == 0:
             return None  # extinct before reaching the truncation depth
-        if offsets[-1] + n_new > node_cap:
-            raise ResourceLimitError(f"actual node count exceeds cap {node_cap}")
+        if offsets[-1] + n_new > DEFAULT_NODE_CAP:
+            raise ResourceLimitError(f"actual node count exceeds cap {DEFAULT_NODE_CAP}")
         rows = np.repeat(np.arange(len(level_v)), counts)
         level_v = level_v[rows]
         level_v += disp
@@ -596,6 +595,17 @@ def is_ancestor(tree: MarkedTree, u: int, x: int) -> bool:
     return cur == u
 
 
+def ancestral_pair(tree: MarkedTree, xs):
+    """The first pair (a, b) of ``xs``, in combination order, with a the
+    shallower and an ancestor of b or equal to it; None when ``xs`` are
+    distinct and pairwise non-ancestral (an admissible tuple)."""
+    for u, v in itertools.combinations(xs, 2):
+        a, b = (u, v) if tree.gen[u] <= tree.gen[v] else (v, u)
+        if is_ancestor(tree, a, b):
+            return a, b
+    return None
+
+
 # ---------------------------------------------------------------------------
 # potential sums
 # ---------------------------------------------------------------------------
@@ -650,24 +660,14 @@ def enumerate_delta_k(tree: MarkedTree, vertices, k: int):
     tuples; in general ancestor-related pairs are filtered via a
     combination pre-pass so each unordered set is checked once.
     """
-    import itertools
-
     if k < 2:
         raise ValueError("k must be >= 2")
     verts = [int(v) for v in vertices]
-    gens = {v: int(tree.gen[v]) for v in verts}
-    same_gen = len({gens[v] for v in verts}) <= 1
-    if same_gen:
+    if len({int(tree.gen[v]) for v in verts}) <= 1:
         yield from itertools.permutations(verts, k)
         return
     for combo in itertools.combinations(verts, k):
-        ok = True
-        for u, v in itertools.combinations(combo, 2):
-            a, b = (u, v) if gens[u] <= gens[v] else (v, u)
-            if is_ancestor(tree, a, b):
-                ok = False
-                break
-        if ok:
+        if ancestral_pair(tree, combo) is None:
             yield from itertools.permutations(combo)
 
 

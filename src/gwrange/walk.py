@@ -119,8 +119,7 @@ def run_excursions(tree: MarkedTree, s: int, rng: np.random.Generator) -> WalkTr
         V = tree.V
         w_up = np.exp(-V[vert])
         if g == depth:
-            halo = tree.halo_weight
-            down = np.zeros(len(vert)) if halo is None else halo[vert - tree.gen_offsets[depth]]
+            down = tree.halo_weight[vert - tree.gen_offsets[depth]]
         else:
             n_kids = tree.n_children[vert]
             slots = np.arange(n_kids.max(initial=0))

@@ -42,13 +42,9 @@ import pytest
 import gwrange as g
 from gwrange import rng as rngmod
 from gwrange.genealogy import IncreasingCollection, Partition
-from gwrange.quenched import cross_check
-from gwrange.theory import (
-    run_band_experiment,
-    signature_sum_identity,
-    split_bound_sum_identity,
-)
+from gwrange.theory import run_band_experiment
 from gwrange.tree import sample_forest
+from identity_oracle import cross_check, signature_sum_identity, split_bound_sum_identity
 
 P = Partition.make
 ACC_SEED = 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -73,6 +74,30 @@ class TestSubcommands:
         assert rep["theorem"] == "split-cdf"
         assert (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["split-cdf"],
+        ["excursion-classes"],
+        ["constrained-ratio", "--constraint", "f_m:3"],
+    ], ids=["split-cdf", "excursion-classes", "constrained-ratio"])
+    def test_verify_short_budgets_fail_the_verdict(self, tmp_path, capsys, args):
+        # at n = 50 one replica has a value and at n = 100 none does: the rows
+        # hold null where no value can be given, and the verdict names both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify"] + args + ["--n-grid", "50,100", "--replicas", "2",
+                                            "--seed", "1"], tmp_path)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "ok"
+        text = (tmp_path / "report.json").read_text()
+        assert "NaN" not in text
+        assert "nan" not in (tmp_path / "grid.csv").read_text().lower()
+        rep = json.loads(text)
+        assert rep["verdict"] == {
+            "pass": False, "reason": "fewer than two replicas gave a value at n = 50, 100"}
+        assert rep["grid"][0]["mean"] is not None and rep["grid"][0]["se"] is None
+        assert all(rep["grid"][1][key] is None for key in ("mean", "se", "target", "deviation"))
+
     def test_verify_local_time_probe(self, tmp_path):
         assert run(["verify", "local-time", "--n-grid", "16,2000",
                     "--replicas", "5", "--seed", "6"], tmp_path) == 0
@@ -115,7 +140,43 @@ PINNED_DIGESTS = {
 }
 
 
+# environment numerics (psi, kappa, delta0, the regime, c_j and both c_inf) of
+# the default law and of a calibrated generic law with one, two and three
+# children, taken before the golden-section searches were merged into one
+GENERIC_LAW_INI = ("[law]\nfamily = generic\natoms = [[0.2, [-0.3]], [0.5, [0.9, 0.9]], "
+                   "[0.3, [1.023323698557498, 1.023323698557498, 1.023323698557498]]]\n")
+ENVIRONMENT_COMMANDS = {
+    "constants": ["constants", "--replicas", "2000", "--seed", "3"],
+    "assumptions": ["assumptions"],
+}
+ENVIRONMENT_DIGESTS = {
+    ("default", "constants", "constants.json"):
+        "58a8c3cbc6b0436dbf3eceac6a716f80d8e23312928f095b31c1567600af02e8",
+    ("default", "constants", "c_j.csv"):
+        "3096b9309594d4785779c90b614fc648b7908747b6104a3f6f4e689005eedfa0",
+    ("default", "assumptions", "assumptions.json"):
+        "7070b661524369ffa4722bb9b57e34e92498b29dee40b25d03b8a433617c2c61",
+    ("generic", "constants", "constants.json"):
+        "fece5ab72bc14738e45c56ec2d47b234c20f0d2f74b6b4cdf14aa6a40737b5db",
+    ("generic", "constants", "c_j.csv"):
+        "ddc90d35f5a0df98f04e99e8599d585a88f384f76213e5a470f57c705266b987",
+    ("generic", "assumptions", "assumptions.json"):
+        "847eaf05b5b7cd8ff4d1ef7dc2c02731aeca9e6dae14f91833fceca296897b53",
+}
+
+
 class TestReproducibility:
+    @pytest.mark.parametrize("law, command, artifact", list(ENVIRONMENT_DIGESTS))
+    def test_environment_digests_pinned(self, tmp_path, law, command, artifact):
+        args = list(ENVIRONMENT_COMMANDS[command])
+        if law == "generic":
+            cfg = tmp_path / "generic.ini"
+            cfg.write_text(GENERIC_LAW_INI)
+            args += ["--config", str(cfg)]
+        assert run(args, tmp_path / "out") == 0
+        digest = hashlib.sha256((tmp_path / "out" / artifact).read_bytes()).hexdigest()
+        assert digest == ENVIRONMENT_DIGESTS[law, command, artifact]
+
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -11,11 +11,8 @@ from gwrange import environment, theory
 from gwrange import tree as treemod
 from gwrange.errors import DomainError, ScheduleInfeasibleError, SignatureError
 from gwrange.genealogy import IncreasingCollection, Partition, pairwise_split_requirements
-from gwrange.theory import (
-    desk_band,
-    signature_sum_identity,
-    split_bound_sum_identity,
-)
+from gwrange.theory import desk_band
+from identity_oracle import signature_sum_identity, split_bound_sum_identity
 
 P = Partition.make
 
