@@ -48,7 +48,7 @@ from .environment import (
     two_point_law,
 )
 from .errors import GwrangeError, ScheduleInfeasibleError
-from .genealogy import coalescent_times, make_F_ell_s, make_f_lambda, make_f_m
+from .genealogy import MAX_GROUND, coalescent_times, make_F_ell_s, make_f_lambda, make_f_m
 from .quenched import hit_before_return, hit_before_return_oracle
 from .rangestats import (
     delta_k_count,
@@ -105,14 +105,19 @@ def _argument_problem(args, cp):
     if args.command == "oracle" and (args.cases < 1 or args.depth_max < 3):
         return (f"need --cases >= 1 and --depth-max >= 3, got {args.cases} "
                 f"and {args.depth_max}")
+    if args.command == "assumptions" and args.k < 2:
+        return f"need --k >= 2, got {args.k}"
     if args.command in ("simulate", "genealogy", "verify"):
-        if args.k < 2:
-            return f"need --k >= 2, got {args.k}"
+        if not 2 <= args.k <= MAX_GROUND:
+            return f"need 2 <= --k <= {MAX_GROUND}, got {args.k}"
         if min(_grid(args, cp)) < 1:
             return "need --n-grid budgets that are positive integers"
-    if args.command in ("constants", "verify") and args.replicas is not None \
-            and args.replicas < 2:
-        return f"need --replicas >= 2, got {args.replicas}"
+    # the Monte Carlo constants and every verify report carry a standard error
+    least = {"constants": 2, "verify": 2, "simulate": 1, "genealogy": 1}.get(args.command)
+    if least is not None and args.replicas is not None and args.replicas < least:
+        return f"need --replicas >= {least}, got {args.replicas}"
+    if args.command == "genealogy" and args.tuples < 1:
+        return f"need --tuples >= 1, got {args.tuples}"
     if args.command == "constants" and args.truncation < 0:
         return f"need --truncation >= 0, got {args.truncation}"
     if args.command == "verify":

@@ -769,18 +769,12 @@ class Schedule:
         return self.upper * math.log(self.upper) / math.sqrt(self.n)
 
 
-def compute_schedule(
-    law: EnvironmentLaw,
-    n: int,
-    lower: int = None,
-    upper: int = None,
-) -> Schedule:
+def compute_schedule(law: EnvironmentLaw, n: int) -> Schedule:
     """Default band for budget n: lower = ceil(log(n)/delta0), upper =
     floor(sqrt(n)/log(n)^2) clamped to >= lower, warmup = ceil(log(n)/(2 delta0)).
 
     Logs are base 10. Raises when even the clamped band violates
-    upper <= sqrt(n), reporting the minimal feasible budget. Both band
-    edges can be overridden.
+    upper <= sqrt(n), reporting the minimal feasible budget.
     """
     kap = kappa(law)
     if not kap > 2.0:
@@ -790,8 +784,8 @@ def compute_schedule(
         raise ScheduleInfeasibleError("budget too small", min_feasible_n=3)
     logn = _LOG(n)
     warmup = int(math.ceil(logn / (2.0 * d0)))
-    ell = int(math.ceil(logn / d0)) if lower is None else int(lower)
-    raw_upper = int(math.floor(math.sqrt(n) / logn**2)) if upper is None else int(upper)
+    ell = int(math.ceil(logn / d0))
+    raw_upper = int(math.floor(math.sqrt(n) / logn**2))
     big = max(raw_upper, ell)
     if big > math.sqrt(n):
         min_n = _min_feasible_n(d0)
@@ -811,9 +805,9 @@ def _min_feasible_n(d0: float) -> int:
     return n
 
 
-def band_shrink_values(law: EnvironmentLaw, n_grid, **kw) -> list:
+def band_shrink_values(law: EnvironmentLaw, n_grid) -> list:
     """shrink_value along an n-grid (admissibility requires a decreasing run)."""
-    return [compute_schedule(law, n, **kw).shrink_value() for n in n_grid]
+    return [compute_schedule(law, n).shrink_value() for n in n_grid]
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,10 @@ def general_range(slice_: RangeSlice, k: int, f=None) -> RangeStat:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    tree, ids = slice_.tree, slice_.ids
-    total = tuple_sum(tree, ids, k, f)
-    count = total if f is None else tuple_sum(tree, ids, k)
+    _check_constraint(f)
+    forest, weights = vertex_forest(slice_.tree, slice_.ids, [np.ones(len(slice_.ids))] * k)
+    total = forest_tuple_sum(forest, weights, k, f)
+    count = total if f is None else forest_tuple_sum(forest, weights, k)
     norm = float(slice_.trace.s * slice_.width) ** k
     return RangeStat(total, int(count), norm, "one" if f is None else f.name, k)
 

@@ -16,6 +16,13 @@ has the law it has on the whole one. Readers that sum whole generations
 refuse partial trees (``QueryError``); :meth:`MarkedTree.filled` completes
 the top of one on a separate stream.
 
+Two functions write the arena. :func:`tree_from_parents` lays out every
+complete tree, one generation at a time, from parent ids and displacements
+listed breadth first: :func:`generate`, :meth:`MarkedTree.filled`,
+:meth:`Forest.tree` and :func:`load_snapshot` only produce those lists.
+:meth:`MarkedTree.draw_children` lays out partial trees, appending one
+generation as the walk reaches it.
+
 Trees from :func:`generate` and :func:`tree_from_parents` are immutable
 and safe to read from any number of threads; a partial tree grows only
 while the one walk on it runs, and is read-only after. Generation itself
@@ -207,7 +214,8 @@ class MarkedTree:
         complete; for a partial tree, its drawn vertices (same potentials)
         with the missing children drawn from ``rng``, one
         :meth:`EnvironmentLaw.sample_generation` call per generation for the
-        vertices without drawn children, in order. No frontier weights."""
+        vertices without drawn children, in order, laid out by
+        :func:`tree_from_parents`. No frontier weights."""
         if not self.partial:
             return self
         src = np.zeros(1, dtype=np.int64)  # per filled vertex: its id here, or -1
@@ -285,7 +293,8 @@ def generate(
     ``rng.stream(seed, f"tree/{attempt}", g)``, so deepening the truncation
     extends the same realization and the frontier weights at one depth sum
     the next generation of a deeper tree. With ``rng``, the calls draw from
-    the one generator in turn. Laws that permit extinction are
+    the one generator in turn. The drawn parents and displacements are laid
+    out by :func:`tree_from_parents`. Laws that permit extinction are
     rejection-resampled until the tree survives to the full depth: a seed
     moves on to the next attempt's streams, an ``rng`` keeps drawing from
     where the extinct attempt stopped. The number of extra attempts is
@@ -340,42 +349,26 @@ def _level_rng(rng, seed, attempt, level):
 
 
 def _generate_once(law, depth, rng, seed, attempt):
-    parents = [np.array([PARENT_OF_ROOT], dtype=np.int64)]
-    disps = [np.zeros(1)]
-    vs = [np.zeros(1)]
-    counts_per_level = []
-    level_v = np.zeros(1)
-    offsets = [0, 1]
+    """One attempt of :func:`generate`: the draws, laid out by
+    :func:`tree_from_parents`; None when the tree dies out."""
+    parents, disps = [np.full(1, PARENT_OF_ROOT)], [np.zeros(1)]
+    lo, size = 0, 1  # ids of the last drawn generation
     for g in range(1, depth + 1):
-        r = _level_rng(rng, seed, attempt, g)
-        counts, disp = law.sample_generation(r, len(level_v))
+        counts, disp = law.sample_generation(_level_rng(rng, seed, attempt, g), size - lo)
         n_new = int(counts.sum())
         if n_new == 0:
             return None  # extinct before reaching the truncation depth
-        if offsets[-1] + n_new > DEFAULT_NODE_CAP:
+        if size + n_new > DEFAULT_NODE_CAP:
             raise ResourceLimitError(f"actual node count exceeds cap {DEFAULT_NODE_CAP}")
-        rows = np.repeat(np.arange(len(level_v)), counts)
-        level_v = level_v[rows]
-        level_v += disp
-        rows += offsets[-2]  # parent ids
-        counts_per_level.append(counts)
-        parents.append(rows)
+        parents.append(np.repeat(np.arange(lo, size), counts))
         disps.append(disp)
-        vs.append(level_v)
-        offsets.append(offsets[-1] + n_new)
-
-    # Join the per-level arrays, freeing each list before the frontier draw.
-    del counts, disp, rows  # the last level's arrays, also held by the lists
-    parent = np.concatenate(parents)
-    del parents
-    disp_all = np.concatenate(disps)
-    del disps
-    v_all = np.concatenate(vs)
-    del vs
-    level_v = v_all[offsets[-2]:]  # a view, so the last level's copy is freed
-    interior = np.concatenate(counts_per_level)
-    del counts_per_level
-    if abs(v_all.max(initial=0.0)) > 600 or abs(v_all.min(initial=0.0)) > 600:
+        lo, size = size, size + n_new
+    # free each level's draws as it is joined, so the peak is the finished tree
+    del counts, disp
+    parents = np.concatenate(parents)
+    disps = np.concatenate(disps)
+    tree = tree_from_parents(parents, disps, law=law)
+    if abs(tree.V.max(initial=0.0)) > 600 or abs(tree.V.min(initial=0.0)) > 600:
         raise ResourceLimitError("potential magnitude too large for direct exponentials")
 
     # Frontier child weights: one more sampled generation, reduced to
@@ -383,38 +376,11 @@ def _generate_once(law, depth, rng, seed, attempt):
     # parents are drawn in blocks from the same generator, which consumes
     # the stream exactly as one draw for all of them would.
     r = _level_rng(rng, seed, attempt, depth + 1)
-    halo = np.empty(len(level_v))
-    for lo in range(0, len(level_v), FRONTIER_BLOCK):
-        halo[lo : lo + FRONTIER_BLOCK] = law.child_weights(r, level_v[lo : lo + FRONTIER_BLOCK])
-
-    size = len(parent)
-    n_int = len(interior)
-    gen = np.repeat(np.arange(depth + 1, dtype=np.int32), np.diff(offsets))
-    n_children = np.zeros(size, dtype=np.int32)
-    n_children[:n_int] = interior
-    del interior
-    # Breadth-first ids: the children of x start after the root and the
-    # children of every interior node before x. The sum runs in place so
-    # no full-size temporary is cast.
-    first_child = np.full(size, -1, dtype=np.int64)
-    head = first_child[:n_int]
-    head[:] = n_children[:n_int]
-    np.cumsum(head, out=head)
-    head -= n_children[:n_int]
-    head += 1
-    return MarkedTree(
-        parent=parent,
-        gen=gen,
-        disp=disp_all,
-        V=v_all,
-        first_child=first_child,
-        n_children=n_children,
-        gen_offsets=np.array(offsets, dtype=np.int64),
-        depth=depth,
-        halo_weight=halo,
-        law=law,
-        seed=seed,
-    )
+    level_v, halo = tree.V[lo:], tree.halo_weight
+    for i in range(0, len(halo), FRONTIER_BLOCK):
+        halo[i : i + FRONTIER_BLOCK] = law.child_weights(r, level_v[i : i + FRONTIER_BLOCK])
+    tree.seed = seed
+    return tree
 
 
 @dataclass(frozen=True)
@@ -453,7 +419,8 @@ class Forest:
 
     def tree(self, i: int) -> MarkedTree:
         """Tree ``i`` as a :class:`MarkedTree` down to its last nonempty
-        generation, without frontier weights."""
+        generation, laid out by :func:`tree_from_parents`, without frontier
+        weights."""
         parents, disps = [[PARENT_OF_ROOT]], [[0.0]]
         prev, base = i, 0  # first row of tree i in the level above, and its id
         for g in range(1, len(self.V)):
@@ -492,57 +459,59 @@ def sample_forest(law: EnvironmentLaw, depth: int, trees: int, rng: np.random.Ge
 
 
 def tree_from_parents(parents, disps, law=None) -> MarkedTree:
-    """Build a tree from explicit parent ids and displacements.
+    """The complete tree with parent ids ``parents`` and displacements
+    ``disps``, laid out one generation at a time.
 
-    Nodes must be listed in generation order with parents[0] == -1 and
-    disps[0] == 0. Used by fixtures and the snapshot loader; no frontier
-    child weights are attached (the frontier reflects).
+    Nodes are listed breadth first: parents[0] == -1 and disps[0] == 0, and
+    every other node's parent comes before it, the children of one parent
+    together and in parent order. Generation g+1 is then the run of nodes
+    whose parents lie in generation g, and its potentials are the parents'
+    plus the displacements. Every complete tree is laid out here:
+    :func:`generate`, :meth:`MarkedTree.filled`, :meth:`Forest.tree` and
+    :func:`load_snapshot`. The frontier child weights are 0 (the frontier
+    reflects) until :func:`generate` draws them.
     """
     parent = np.asarray(parents, dtype=np.int64)
     disp = np.asarray(disps, dtype=float)
     size = len(parent)
-    if size == 0 or parent[0] != PARENT_OF_ROOT:
-        raise ValueError("first node must be the root with parent -1")
     up = parent[1:]
-    if np.any((up < 0) | (up >= np.arange(1, size))):
-        raise ValueError("nodes must be listed in generation order")
-    # every parent precedes its child, so after t passes both arrays are
-    # final on generations <= t; the pass that leaves gen unchanged is the
-    # last one needed
-    gen = np.zeros(size, dtype=np.int32)
+    if size == 0 or parent[0] != PARENT_OF_ROOT or len(disp) != size:
+        raise ValueError("first node must be the root with parent -1, "
+                         "and each node needs one displacement")
+    if (up[:1] < 0).any() or (up[1:] < up[:-1]).any():
+        raise ValueError("nodes must have one root, the children of one parent "
+                         "together and in parent order")
+    # with parents in order, generation g+1 ends before the first node
+    # whose parent lies past generation g
+    offsets = [0, 1]
     V = np.zeros(size)
-    while True:
-        V[1:] = V[up] + disp[1:]
-        nxt = gen[up] + 1
-        if np.array_equal(nxt, gen[1:]):
-            break
-        gen[1:] = nxt
-    depth = int(gen.max())
-    order_ok = bool(np.all(np.diff(gen) >= 0))
-    if not order_ok:
-        raise ValueError("nodes must be sorted by generation")
+    while offsets[-1] < size:
+        hi = offsets[-1]
+        end = 1 + int(up.searchsorted(hi))
+        if end == hi:
+            raise ValueError(f"node {hi} is listed before its parent")
+        np.add(V[parent[hi:end]], disp[hi:end], out=V[hi:end])
+        offsets.append(end)
+    offsets = np.array(offsets, dtype=np.int64)
+    depth, n_int = len(offsets) - 2, int(offsets[-2])
     n_children = np.bincount(up, minlength=size).astype(np.int32)
-    # As in generate: the children of an interior vertex (childless or not)
-    # start after the root and the children of every interior vertex before it.
-    n_int = int(np.searchsorted(gen, depth))
+    # The children of an interior vertex (childless or not) start after the
+    # root and the children of every interior vertex before it.
     first_child = np.full(size, -1, dtype=np.int64)
-    first_child[:n_int] = np.cumsum(n_children[:n_int]) - n_children[:n_int] + 1
-    kid = np.arange(1, size)
-    start = first_child[up]
-    if not np.all((start <= kid) & (kid < start + n_children[up])):
-        raise ValueError("children of one parent must be contiguous, in parent order")
-    counts = np.bincount(gen)
-    halo = np.zeros(int(counts[depth]))
+    head = first_child[:n_int]
+    n_children[:n_int].cumsum(out=head)
+    head -= n_children[:n_int]
+    head += 1
     return MarkedTree(
         parent=parent,
-        gen=gen,
+        gen=np.arange(depth + 1, dtype=np.int32).repeat(offsets[1:] - offsets[:-1]),
         disp=disp,
         V=V,
         first_child=first_child,
         n_children=n_children,
-        gen_offsets=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+        gen_offsets=offsets,
         depth=depth,
-        halo_weight=halo,
+        halo_weight=np.zeros(size - n_int),
         law=law,
     )
 

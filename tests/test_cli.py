@@ -242,12 +242,24 @@ class TestFailureHandling:
         ["verify", "split-cdf", "--replicas", "1"],
         ["verify", "constrained-volume"],
         ["verify", "constrained-ratio", "--constraint", "one"],
+        ["simulate", "--k", "7", "--replicas", "1"],
+        ["genealogy", "--k", "7"],
+        ["verify", "constrained-ratio", "--constraint", "f_m:3", "--k", "7"],
+        ["assumptions", "--k", "1"],
+        ["simulate", "--replicas", "0"],
+        ["simulate", "--replicas", "-2"],
+        ["genealogy", "--replicas", "0"],
+        ["genealogy", "--tuples", "-3"],
     ], ids=["unknown-constraint", "bad-constraint-argument", "simulate-k1",
             "band-volume-one-replica", "split-cdf-one-replica",
-            "constrained-volume-no-constraint", "constrained-ratio-constraint-one"])
+            "constrained-volume-no-constraint", "constrained-ratio-constraint-one",
+            "simulate-k-above-cap", "genealogy-k-above-cap", "verify-k-above-cap",
+            "assumptions-k1", "simulate-zero-replicas", "simulate-negative-replicas",
+            "genealogy-zero-replicas", "genealogy-negative-tuples"])
     def test_bad_arguments_refused_before_work(self, tmp_path, capsys, args):
         # one line on stderr, exit 2 and a manifest, with no replica drawn
-        code = run(args + ["--n-grid", "2000,4000", "--seed", "3"], tmp_path)
+        grid = [] if args[0] == "assumptions" else ["--n-grid", "2000,4000"]
+        code = run(args + grid + ["--seed", "3"], tmp_path)
         assert_refused(tmp_path, capsys, code, args[0])
 
     @pytest.mark.parametrize("args", [

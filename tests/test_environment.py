@@ -500,10 +500,6 @@ class TestSchedule:
             assert sch.warmup <= sch.lower
             assert sch.width == sch.upper - sch.lower + 1
 
-    def test_overrides(self, law):
-        sch = compute_schedule(law, 10**6, lower=100, upper=150)
-        assert (sch.lower, sch.upper) == (100, 150)
-
 
 class TestManyToOne:
     """Tilted-walk means against tree sums for several horizons and test

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestGeneration:
         tree = g.generate(law, 4, seed=5)
         assert tree.gen.max() == 4
         assert tree.regen_attempts >= 0
+
+    def test_peak_memory_is_the_finished_tree(self):
+        # the per-level draws are freed as the arrays are laid out, so the
+        # peak is the finished tree plus the temporaries of one frontier block
+        tracemalloc.start()
+        try:
+            tree = g.generate(g.default_law(), 18, rng=rngmod.stream(1, "q", 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(getattr(tree, arr).nbytes for arr in TREE_ARRAYS)
+        assert peak <= arrays + 4 * 2**20
 
 
 # sha256 prefixes of every array of `generate`, pinned from the per-parent
@@ -177,6 +190,56 @@ class TestGenerationDigests:
             if len(kids):
                 assert tree.first_child[x] == kids[0]
                 assert np.array_equal(kids, tree.children(x))
+
+
+@st.composite
+def _breadth_first_trees(draw):
+    """(parents, displacements) of a tree listed breadth first: vertex x has
+    ``counts[x]`` children, and vertices past the drawn counts have none."""
+    counts = draw(st.lists(st.integers(0, 3), max_size=40))
+    parents, x = [-1], 0
+    while x < min(len(parents), len(counts)):
+        parents += [x] * counts[x]
+        x += 1
+    disps = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(parents) - 1,
+                          max_size=len(parents) - 1))
+    return parents, [0.0] + disps
+
+
+def _reference_layout(parents, disps):
+    """Every array of ``tree_from_parents``, vertex by vertex in id order."""
+    size = len(parents)
+    gen, V = [0] * size, [0.0] * size
+    for i in range(1, size):
+        gen[i] = gen[parents[i]] + 1
+        V[i] = V[parents[i]] + disps[i]
+    depth = max(gen)
+    n_children = [parents.count(x) for x in range(size)]
+    first_child = [1 + sum(n_children[:x]) if gen[x] < depth else -1 for x in range(size)]
+    gen_offsets = [sum(1 for h in gen if h < d) for d in range(depth + 2)]
+    return dict(parent=parents, gen=gen, disp=disps, V=V, first_child=first_child,
+                n_children=n_children, gen_offsets=gen_offsets,
+                halo_weight=[0.0] * gen.count(depth)), depth
+
+
+class TestTreeFromParents:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_breadth_first_trees())
+    def test_matches_per_vertex_reference(self, case):
+        parents, disps = case
+        tree = g.tree_from_parents(parents, disps)
+        want, depth = _reference_layout(parents, disps)
+        assert tree.depth == depth
+        for arr, dtype in zip(TREE_ARRAYS, TREE_DTYPES):
+            got = getattr(tree, arr)
+            assert got.dtype.str == dtype, arr
+            assert np.array_equal(got, np.array(want[arr], dtype=dtype)), arr
+
+    @pytest.mark.parametrize("parents", [[-1, 0, 2], [-1, 1], [-1, -1, 0]],
+                             ids=["own-parent", "parent-later", "second-root"])
+    def test_parent_listed_first_and_one_root(self, parents):
+        with pytest.raises(ValueError):
+            g.tree_from_parents(parents, [0.0] * len(parents))
 
 
 class TestPotential:
