@@ -66,9 +66,7 @@ from .theory import (
 )
 from .tree import (
     MarkedTree,
-    VirtualLeaf,
     additive_martingale,
-    ancestor_at,
     enumerate_delta_k,
     generate,
     grow,

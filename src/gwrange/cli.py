@@ -110,8 +110,16 @@ def _argument_problem(args, cp):
     if args.command in ("simulate", "genealogy", "verify"):
         if not 2 <= args.k <= MAX_GROUND:
             return f"need 2 <= --k <= {MAX_GROUND}, got {args.k}"
-        if min(_grid(args, cp)) < 1:
+        if args.threads < 1:
+            return f"need --threads >= 1, got {args.threads}"
+        grid = _grid(args, cp)
+        if min(grid) < 1:
             return "need --n-grid budgets that are positive integers"
+        for n in grid:
+            try:
+                _band_entry(cp, n)
+            except ValueError as err:
+                return str(err)
     # the Monte Carlo constants and every verify report carry a standard error
     least = {"constants": 2, "verify": 2, "simulate": 1, "genealogy": 1}.get(args.command)
     if least is not None and args.replicas is not None and args.replicas < least:
@@ -142,8 +150,8 @@ def _write_manifest(outdir, args, config_text, status, failure=None):
         "command": args.command,
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": args.seed,
-        "replicas": args.replicas,
-        "threads": args.threads,
+        "replicas": getattr(args, "replicas", None),
+        "threads": getattr(args, "threads", None),
         "status": status,
         "failure": failure,
         "versions": {
@@ -160,11 +168,25 @@ def _grid(args, cp):
     return [int(v) if v.strip().isdecimal() else 0 for v in text.split(",")]
 
 
+def _band_entry(cp, n):
+    """The configured ``[schedule] band_<n>`` as (lower, upper), None when
+    absent; ValueError unless it is two integers 1 <= lower <= upper."""
+    if not cp.has_option("schedule", f"band_{n}"):
+        return None
+    text = cp.get("schedule", f"band_{n}")
+    problem = ValueError(f"need [schedule] band_{n} = lower,upper with "
+                         f"1 <= lower <= upper, got {text!r}")
+    try:
+        lo, hi = (int(v) for v in text.split(","))
+    except ValueError:
+        raise problem from None
+    if not 1 <= lo <= hi:
+        raise problem
+    return lo, hi
+
+
 def _band(cp, law, n):
-    if cp.has_option("schedule", f"band_{n}"):
-        lo, hi = cp.get("schedule", f"band_{n}").split(",")
-        return int(lo), int(hi)
-    return desk_band(law, n)
+    return _band_entry(cp, n) or desk_band(law, n)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +370,12 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="INI configuration file")
     common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--replicas", type=int, default=None)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out", default=None, help="output directory")
+    monte_carlo = argparse.ArgumentParser(add_help=False, parents=[common])
+    monte_carlo.add_argument("--replicas", type=int, default=None)
     # the commands that draw (tree, walk, band) replicas
-    replica = argparse.ArgumentParser(add_help=False, parents=[common])
+    replica = argparse.ArgumentParser(add_help=False, parents=[monte_carlo])
+    replica.add_argument("--threads", type=int, default=1)
     replica.add_argument("--n-grid", default=None, help="comma-separated positive budgets")
     replica.add_argument("--k", type=int, default=2)
 
@@ -363,7 +386,7 @@ def _build_parser():
     sp = sub.add_parser("assumptions", parents=[common])
     sp.add_argument("--k", type=int, default=2)
 
-    sp = sub.add_parser("constants", parents=[common])
+    sp = sub.add_parser("constants", parents=[monte_carlo])
     sp.add_argument("--truncation", type=int, default=200)
 
     sub.add_parser("simulate", parents=[replica])
@@ -400,7 +423,6 @@ def main(argv=None) -> int:
         cp, config_text = _load_config(args.config)
         law = _law_from_config(cp)
     except Exception as err:
-        os.makedirs(outdir, exist_ok=True)
         _write_manifest(outdir, args, "", "config-error", failure=str(err))
         print(f"config error: {err}", file=sys.stderr)
         return 2

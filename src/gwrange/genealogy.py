@@ -8,10 +8,12 @@ most recent common ancestor has been passed. The generations at which the
 block count strictly increases are the tuple's split times; together with
 the partitions there they form its genealogical signature.
 
-Slots whose vertex is shallower than the queried level are assigned a
-slot-indexed virtual leaf, distinct from every tree vertex and from every
-other slot's leaf, so all level queries stay well defined. All values
-here are immutable and the functions pure.
+Every per-tuple question reads one table, the tuple's pairwise most
+recent common ancestor generations: entry (i, j) is the generation of the
+MRCA of slots i and j. Slots i and j share a generation-m ancestor exactly
+when entry (i, j) >= m. A slot shallower than m has every entry below m,
+so it stands alone at level m. All values here are immutable and the
+functions pure.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SignatureError, TupleError
-from .tree import MarkedTree, ancestor_at, ancestral_pair, mrca_generation
+from .tree import MarkedTree, ancestral_pair, mrca_generation
 
 __all__ = [
     "Partition",
@@ -262,23 +264,34 @@ def _validate_tuple(tree: MarkedTree, xs) -> None:
         raise TupleError("tuple has repeated vertices" if a == b else f"{a} is an ancestor of {b}")
 
 
+def _mrca_table(tree: MarkedTree, xs) -> dict:
+    """The tuple's pairwise MRCA generations, keyed by slot pairs (a, b),
+    1 <= a < b <= k, as in :func:`pairwise_split_requirements`."""
+    return {(a, b): mrca_generation(tree, x, y)
+            for (a, x), (b, y) in itertools.combinations(enumerate(xs, start=1), 2)}
+
+
+def _partition_at(table: dict, k: int, m: int) -> Partition:
+    """Slots grouped by shared generation-m ancestor: slot b joins the first
+    slot a < b whose entry (a, b) is at least m, else stands alone."""
+    labels = list(range(1, k + 1))
+    for (a, b), d in table.items():  # a ascending: the first a is kept
+        if d >= m and labels[b - 1] == b:
+            labels[b - 1] = a
+    return Partition.from_labels(labels)
+
+
 def first_full_split(tree: MarkedTree, xs) -> int:
     """First generation at which no two slots share a common ancestor:
     one plus the deepest pairwise most recent common ancestor."""
     _validate_tuple(tree, xs)
-    worst = 0
-    for i, j in itertools.combinations(range(len(xs)), 2):
-        worst = max(worst, mrca_generation(tree, xs[i], xs[j]))
-    return worst + 1
-
-
-def _level_labels(tree: MarkedTree, xs, m: int):
-    return [ancestor_at(tree, x, m, slot=i + 1) for i, x in enumerate(xs)]
+    return max(_mrca_table(tree, xs).values(), default=0) + 1
 
 
 def partition_process(tree: MarkedTree, xs, m: int) -> Partition:
-    """Partition of slots sharing a generation-m ancestor (virtual leaves apply)."""
-    return Partition.from_labels(_level_labels(tree, xs, m))
+    """Partition of slots sharing a generation-m ancestor; a slot shallower
+    than m stands alone."""
+    return _partition_at(_mrca_table(tree, xs), len(xs), m)
 
 
 @dataclass(frozen=True)
@@ -324,62 +337,35 @@ class GenealogySignature:
 def coalescent_times(tree: MarkedTree, xs) -> GenealogySignature:
     """Extract the tuple's split times and attained partitions.
 
-    The partition process is constant between block-count increases, so the
-    signature is read off the sorted distinct pairwise ancestor depths.
+    The partition process changes only in the generation after a pairwise
+    MRCA, and gains blocks there, so the split times are the sorted
+    distinct pairwise MRCA generations plus one.
     """
     _validate_tuple(tree, xs)
-    k = len(xs)
-    depths = sorted(
-        {
-            mrca_generation(tree, xs[i], xs[j])
-            for i, j in itertools.combinations(range(k), 2)
-        }
-    )
-    times = []
-    levels = [Partition.one_block(k)]
-    last = 1
-    for d in depths:
-        m = d + 1
-        part = partition_process(tree, xs, m)
-        if len(part) > last:
-            times.append(m)
-            levels.append(part)
-            last = len(part)
-    return GenealogySignature(tuple(times), IncreasingCollection(tuple(levels)))
+    k, table = len(xs), _mrca_table(tree, xs)
+    times = tuple(sorted({d + 1 for d in table.values()}))
+    levels = (Partition.one_block(k),) + tuple(_partition_at(table, k, m) for m in times)
+    return GenealogySignature(times, IncreasingCollection(levels))
 
 
 def upsilon_member(tree: MarkedTree, xs, m: int, part: Partition) -> bool:
     """Level-m block condition: same generation-m ancestor within blocks,
-    different ancestors across blocks (cross check skipped for one block)."""
+    different ancestors across blocks."""
     if part.k != len(xs):
         raise SignatureError("partition ground set does not match tuple length")
-    labels = _level_labels(tree, xs, m)
-    for b in part.blocks:
-        first = labels[b[0] - 1]
-        for i in b[1:]:
-            if labels[i - 1] != first:
-                return False
-    if len(part) >= 2:
-        reps = [labels[b[0] - 1] for b in part.blocks]
-        if len(set(reps)) != len(reps):
-            return False
-    return True
+    return partition_process(tree, xs, m) == part
 
 
 def genealogy_indicator(tree: MarkedTree, xs, times, coll: IncreasingCollection) -> int:
-    """Product over steps of the two level conditions around each time.
-
-    1 exactly when the tuple's splits happen at the given times with the
-    given partitions. Malformed (times, collection) pairs raise, as in
-    :class:`GenealogySignature`.
+    """1 exactly when the tuple's splits happen at the given times with the
+    given partitions: every slot pair has its MRCA at the generation
+    :func:`pairwise_split_requirements` asks. Malformed (times, collection)
+    pairs raise, as in :class:`GenealogySignature`.
     """
     times = GenealogySignature(tuple(times), coll).times
-    for i, t in enumerate(times, start=1):
-        if not upsilon_member(tree, xs, t - 1, coll.levels[i - 1]):
-            return 0
-        if not upsilon_member(tree, xs, t, coll.levels[i]):
-            return 0
-    return 1
+    if coll.k != len(xs):
+        raise SignatureError("partition ground set does not match tuple length")
+    return int(_mrca_table(tree, xs) == pairwise_split_requirements(times, coll))
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,9 @@ from .environment import EnvironmentLaw, law_to_text, law_from_text, log_laplace
 
 __all__ = [
     "MarkedTree",
-    "VirtualLeaf",
     "generate",
     "grow",
     "tree_from_parents",
-    "ancestor_at",
     "mrca",
     "mrca_generation",
     "additive_martingale",
@@ -69,13 +67,6 @@ FRONTIER_BLOCK = 1 << 16
 FOREST_BLOCK_NODES = 1 << 18
 
 
-@dataclass(frozen=True)
-class VirtualLeaf:
-    """Slot-indexed stand-in ancestor for a vertex shallower than the queried level."""
-
-    slot: int
-
-
 @dataclass
 class MarkedTree:
     parent: np.ndarray
@@ -93,7 +84,6 @@ class MarkedTree:
     # a partial tree holds only drawn vertices: the root, the vertices a walk
     # entered and their children; first_child is -1 where children are not drawn
     partial: bool = False
-    _exp_neg_v: np.ndarray = field(default=None, repr=False)
     _grow_rng: np.random.Generator = field(default=None, repr=False)
     _grown: int = 0  # generations 0.._grown-1 have had their children drawn
 
@@ -125,10 +115,7 @@ class MarkedTree:
 
     @property
     def exp_neg_v(self) -> np.ndarray:
-        if self._exp_neg_v is None:
-            self._exp_neg_v = np.negative(self.V)
-            np.exp(self._exp_neg_v, out=self._exp_neg_v)
-        return self._exp_neg_v
+        return np.exp(-self.V)
 
     def frontier_down_weight(self, x: int) -> float:
         """Total kernel weight of the unmaterialized children of a frontier node."""
@@ -183,7 +170,6 @@ class MarkedTree:
                 return
         if g != self._grown:
             raise QueryError(f"generation {g} of this partial tree is not the next to grow")
-        self._exp_neg_v = None
         if g == self.depth:
             self.halo_weight[vert - self.gen_offsets[g]] = self.law.child_weights(
                 self._grow_rng, self.V[vert])
@@ -521,19 +507,6 @@ def tree_from_parents(parents, disps, law=None) -> MarkedTree:
 # ---------------------------------------------------------------------------
 
 
-def ancestor_at(tree: MarkedTree, x: int, m: int, slot: int = None):
-    """Generation-m ancestor of x, or the slot's virtual leaf when |x| < m."""
-    gx = int(tree.gen[x])
-    if m > gx:
-        if slot is None:
-            raise QueryError(f"vertex {x} has no generation-{m} ancestor and no slot given")
-        return VirtualLeaf(slot)
-    cur = x
-    for _ in range(gx - m):
-        cur = tree.parent[cur]
-    return int(cur)
-
-
 def mrca(tree: MarkedTree, x: int, y: int) -> int:
     """Most recent common ancestor (possibly the root)."""
     gx, gy = int(tree.gen[x]), int(tree.gen[y])
@@ -585,8 +558,7 @@ def additive_martingale(tree: MarkedTree, n: int) -> float:
     drawn generation-n vertices, plus e^{-V(u)} e^{(n - |u|) psi(1)} for
     each drawn vertex u above n whose children were not drawn, the mean of
     its generation-n descendants' sum. On a complete tree there is no such
-    u, and the value is W_n bit for bit. The whole-tree ``exp_neg_v`` cache
-    stays unbuilt (it would set a deep tree's peak memory)."""
+    u, and the value is W_n bit for bit."""
     if n < 0 or n > tree.depth:
         raise QueryError(f"generation {n} outside [0, {tree.depth}]")
     lo, hi = tree.gen_offsets[n], tree.gen_offsets[n + 1]

@@ -90,6 +90,13 @@ MUTANTS = (
            "    if (up[:1] < 0).any() or (up[1:] < up[:-1]).any():\n",
            "    if (up[:1] < 0).any():\n",
            ("tests/test_tree.py::TestSnapshot::test_children_listed_in_parent_order",)),
+    # the one rule reading a tuple's MRCA table
+    Mutant("mrca-table-strict-level", "genealogy.py",
+           "if d >= m and", "if d > m and",
+           ("tests/test_genealogy.py::TestPartitionProcess"
+            "::test_figure_process_changes_one_after_each_mrca",
+            "tests/test_genealogy.py::TestUpsilon::test_figure_membership_holds_at_mrca_generation",
+            "tests/test_genealogy.py::test_genealogy_matches_ancestor_definition")),
 )
 
 

@@ -250,12 +250,16 @@ class TestFailureHandling:
         ["simulate", "--replicas", "-2"],
         ["genealogy", "--replicas", "0"],
         ["genealogy", "--tuples", "-3"],
+        ["simulate", "--replicas", "1", "--threads", "0"],
+        ["genealogy", "--replicas", "1", "--threads", "-1"],
+        ["verify", "excursion-classes", "--replicas", "2", "--threads", "0"],
     ], ids=["unknown-constraint", "bad-constraint-argument", "simulate-k1",
             "band-volume-one-replica", "split-cdf-one-replica",
             "constrained-volume-no-constraint", "constrained-ratio-constraint-one",
             "simulate-k-above-cap", "genealogy-k-above-cap", "verify-k-above-cap",
             "assumptions-k1", "simulate-zero-replicas", "simulate-negative-replicas",
-            "genealogy-zero-replicas", "genealogy-negative-tuples"])
+            "genealogy-zero-replicas", "genealogy-negative-tuples",
+            "simulate-zero-threads", "genealogy-negative-threads", "verify-zero-threads"])
     def test_bad_arguments_refused_before_work(self, tmp_path, capsys, args):
         # one line on stderr, exit 2 and a manifest, with no replica drawn
         grid = [] if args[0] == "assumptions" else ["--n-grid", "2000,4000"]
@@ -273,6 +277,42 @@ class TestFailureHandling:
             "genealogy-zero", "verify-negative", "simulate-empty-budget"])
     def test_bad_grid_refused_before_work(self, tmp_path, capsys, args):
         assert_refused(tmp_path, capsys, run(args + ["--seed", "3"], tmp_path), args[0])
+
+    @pytest.mark.parametrize("band, args", [
+        ("5,0", ["simulate", "--n-grid", "2000", "--replicas", "1"]),
+        ("4", ["verify", "band-volume", "--n-grid", "2000,4000"]),
+        ("0,3", ["genealogy", "--n-grid", "2000", "--replicas", "1"]),
+        ("a,b", ["simulate", "--n-grid", "2000", "--replicas", "1"]),
+        ("3,4,5", ["verify", "excursion-classes", "--n-grid", "4000,2000"]),
+    ], ids=["lower-above-upper", "one-value", "zero-lower", "letters", "three-values"])
+    def test_bad_config_band_refused_before_work(self, tmp_path, capsys, band, args):
+        cfg = tmp_path / "band.ini"
+        cfg.write_text(f"[schedule]\nband_2000 = {band}\n")
+        out = tmp_path / "out"
+        code = run(args + ["--config", str(cfg), "--seed", "3"], out)
+        assert_refused(out, capsys, code, args[0])
+
+    @pytest.mark.parametrize("args", [
+        ["assumptions", "--replicas", "-5"],
+        ["assumptions", "--threads", "-3"],
+        ["oracle", "--cases", "2", "--replicas", "7"],
+        ["oracle", "--cases", "2", "--threads", "0"],
+        ["constants", "--replicas", "2000", "--threads", "2"],
+    ], ids=["assumptions-replicas", "assumptions-threads", "oracle-replicas",
+            "oracle-threads", "constants-threads"])
+    def test_flag_the_command_does_not_read_refused(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exit_:
+            run(args + ["--seed", "3"], tmp_path / "out")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_nulls_flags_the_command_does_not_take(self, tmp_path):
+        assert run(["assumptions"], tmp_path / "a") == 0
+        assert run(["constants", "--replicas", "2000"], tmp_path / "c") == 0
+        flags = [(m["replicas"], m["threads"]) for m in
+                 (json.loads((tmp_path / d / "manifest.json").read_text()) for d in "ac")]
+        assert flags == [(None, None), (2000, None)]
 
     def test_constants_refuses_one_replica(self, tmp_path, capsys):
         # a one-path Monte Carlo c_inf has no standard error to report

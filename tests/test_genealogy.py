@@ -234,6 +234,12 @@ class TestPartitionProcess:
         part = g.partition_process(figure_tree, (7, 10, 6, 8), 2)
         assert part == P([[1, 3], [2, 4]])
 
+    def test_figure_process_changes_one_after_each_mrca(self, figure_tree):
+        # pairwise MRCAs of the figure tuple sit at generations 1 and 3
+        tup = (7, 10, 6, 8)
+        want = [P([[1, 2, 3, 4]])] * 2 + [P([[1, 3], [2, 4]])] * 2 + [P([[1], [2], [3], [4]])] * 2
+        assert [g.partition_process(figure_tree, tup, m) for m in range(6)] == want
+
     def test_refinement_chain_in_level(self, law, rng):
         tree = g.generate(law, 6, seed=33)
         ids = tree.generation_ids(6)
@@ -257,6 +263,11 @@ class TestUpsilon:
         tup = (7, 10, 6, 8)
         assert g.upsilon_member(figure_tree, tup, 2, pi)
         assert not g.upsilon_member(figure_tree, tup, 4, pi)
+
+    def test_figure_membership_holds_at_mrca_generation(self, figure_tree):
+        tup = (7, 10, 6, 8)
+        assert g.upsilon_member(figure_tree, tup, 1, P([[1, 2, 3, 4]]))
+        assert g.upsilon_member(figure_tree, tup, 3, P([[1, 3], [2, 4]]))
 
     def test_singletons_at_full_split(self, law, rng):
         tree = g.generate(law, 5, seed=44)
@@ -305,6 +316,42 @@ class TestIndicator:
         assert back == sig
 
 
+def _extinguishing_law():
+    b = math.log(2.1)
+    return g.generic_law([(0.3, ()), (0.7, (b, b, b))])
+
+
+_TABLE_TREES = [g.generate(make_law(), 5, seed=seed)
+                for make_law in (g.default_law, _extinguishing_law, g.gaussian_law)
+                for seed in (71, 72)]
+
+
+def _grouped_by_ancestor(tree, xs, m):
+    # the definition: slots with one generation-m ancestor form a block, a
+    # slot shallower than m stands alone
+    return Partition.from_labels([int(tree.ancestor_chain(x)[m]) if tree.gen[x] >= m
+                                  else ("alone", i) for i, x in enumerate(xs)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_genealogy_matches_ancestor_definition(data):
+    # repeated and ancestral vertices allowed
+    tree = data.draw(st.sampled_from(_TABLE_TREES))
+    xs = data.draw(st.lists(st.integers(0, tree.size - 1), min_size=2, max_size=4))
+    for m in range(tree.depth + 3):
+        assert g.partition_process(tree, xs, m) == _grouped_by_ancestor(tree, xs, m), (xs, m)
+    if g.tree.ancestral_pair(tree, xs) is not None:
+        return
+    sig = g.coalescent_times(tree, xs)
+    assert g.genealogy_indicator(tree, xs, sig.times, sig.collection) == 1
+    assert sum(g.genealogy_indicator(tree, xs, sig.times, coll) for coll in
+               enumerate_increasing_collections(len(xs), sig.split_count)) == 1
+    assert g.genealogy.pairwise_split_requirements(sig.times, sig.collection) == {
+        (a + 1, b + 1): g.mrca_generation(tree, xs[a], xs[b])
+        for a, b in itertools.combinations(range(len(xs)), 2)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_signature_json_round_trip_property(data):
@@ -348,7 +395,7 @@ def test_constraints_are_hereditary(data):
         assume(False)
     value = f(tree, xs)
     for p in range(split, min(int(tree.gen[x]) for x in xs) + 1):
-        ys = [g.ancestor_at(tree, x, p) for x in xs]
+        ys = [int(tree.ancestor_chain(x)[p]) for x in xs]
         assert f(tree, ys) == value, (f.name, xs, p)
 
 

@@ -142,7 +142,7 @@ class TestGeneralRange:
         for tup in g.enumerate_delta_k(tree, sl.ids, 2):
             if g.first_full_split(tree, tup) <= m:
                 direct += f(tree, tup)
-            anc = tuple(g.ancestor_at(tree, x, m) for x in tup)
+            anc = tuple(int(tree.ancestor_chain(x)[m]) for x in tup)
             if len(set(anc)) == 2:
                 factorized += f(tree, anc)
         assert direct == factorized

@@ -10,8 +10,8 @@ from scipy import stats as sstats
 import gwrange as g
 from gwrange import rng as rngmod
 from gwrange import tree as treemod
-from gwrange.errors import AncestryError, QueryError, ResourceLimitError
-from gwrange.tree import VirtualLeaf, conductance_levels
+from gwrange.errors import AncestryError, ResourceLimitError
+from gwrange.tree import conductance_levels
 from conductance_oracle import conductance_H, partial_H
 from test_walk import WALK_DIGESTS
 
@@ -271,13 +271,6 @@ class TestAncestry:
                 kids = t.children(x)
                 assert g.mrca(t, int(kids[0]), int(kids[1])) == x
                 break
-
-    def test_virtual_leaf_below_level(self, small_tree):
-        x = int(small_tree.generation_ids(2)[0])
-        out = g.ancestor_at(small_tree, x, 5, slot=4)
-        assert out == VirtualLeaf(4)
-        with pytest.raises(QueryError):
-            g.ancestor_at(small_tree, x, 5)
 
     @settings(max_examples=60, deadline=None)
     @given(ids=st.lists(st.integers(0, _ANCESTRY_TREE.size - 1), max_size=12))

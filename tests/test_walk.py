@@ -166,12 +166,10 @@ class TestWalkDigests:
         trace = g.run_excursions(tree, 400, np.random.default_rng(seed))
         assert (trace.steps, trace.dives, len(trace.ids), _trace_digest(trace)) == want
 
-    def test_walk_leaves_full_weights_unbuilt(self, law):
-        # a fresh tree: the shared fixtures may have built the weights elsewhere
+    def test_martingale_after_walk_is_generation_weight_sum(self, law):
         tree = g.generate(law, 10, seed=202)
         g.run_excursions(tree, 50, rngmod.stream(11, "w"))
         w = g.additive_martingale(tree, 7)
-        assert tree._exp_neg_v is None
         assert w == tree.exp_neg_v[tree.generation_ids(7)].sum()
 
 
