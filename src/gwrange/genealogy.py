@@ -71,8 +71,20 @@ class Partition:
         ground = set(range(1, len(seen) + 1))
         if seen != ground:
             raise SignatureError(f"blocks do not partition 1..{len(seen)}")
-        canon = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        if canon != self.blocks:
+        # the elements are 1..k, so canonical form takes one pass: tuples
+        # whose elements increase strictly, each block starting above the
+        # least element of the one before (0 lies below every element)
+        canonical, least = isinstance(self.blocks, tuple), 0
+        for b in self.blocks:
+            canonical = canonical and isinstance(b, tuple) and b != ()
+            if not canonical:
+                break
+            prev = least
+            for i in b:
+                canonical = canonical and prev < i
+                prev = i
+            least = b[0]
+        if not canonical:
             raise SignatureError("blocks not in canonical least-element order")
 
     @classmethod

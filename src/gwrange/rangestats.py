@@ -155,6 +155,14 @@ def _check_constraint(f) -> None:
                         "sum other callables tuple by tuple with reference_tuple_sum")
 
 
+def _check_tuple_cap(n: int, k: int) -> None:
+    """Refuse more than ``DEFAULT_TUPLE_CAP`` ordered k-tuples of n vertices."""
+    if math.perm(n, k) > DEFAULT_TUPLE_CAP:
+        raise CombinatorialCapError(
+            f"{math.perm(n, k):.3g} ordered tuples exceed cap {DEFAULT_TUPLE_CAP}"
+        )
+
+
 def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None):
     """Per-tuple reference: (sum, count) over the admissible ordered
     k-tuples xs of ``ids`` of f(tree, xs) * prod_i w_i(xs[i]), streamed in
@@ -163,10 +171,7 @@ def reference_tuple_sum(tree: MarkedTree, ids, k: int, f=None, weights=None):
     ``weights`` holds one array per slot aligned with ``ids`` (default all
     ones). Refuses beyond ``DEFAULT_TUPLE_CAP`` tuples, before enumerating any.
     """
-    if math.perm(len(ids), k) > DEFAULT_TUPLE_CAP:
-        raise CombinatorialCapError(
-            f"{math.perm(len(ids), k):.3g} ordered tuples exceed cap {DEFAULT_TUPLE_CAP}"
-        )
+    _check_tuple_cap(len(ids), k)
     ids = [int(v) for v in ids]
     if weights is not None:
         weights = [dict(zip(ids, w.tolist())) for w in weights]

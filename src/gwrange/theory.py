@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,10 +38,10 @@ from .genealogy import (
     pairwise_split_requirements,
 )
 from .rangestats import (
+    _check_tuple_cap,
     delta_k_count,
     excursion_class_masses,
     general_range,
-    reference_tuple_sum,
     sample_uniform_tuple,
     signature_sum,
     weighted_range_A_l,
@@ -144,8 +145,11 @@ def estimate_esp_partition(
     draw of ``replicas`` trees, not conditioned on survival (a tree that
     dies out adds 0); ``fast`` picks only how the per-tree sums are
     computed: by :func:`signature_sum` on each forest block, or
-    (``fast=False``) tuple by tuple through the reference enumeration on
-    each tree.
+    (``fast=False``) by brute force, independent of the Moebius engine:
+    every ordered k-tuple of one tree's deepest level is listed and tested
+    pair by pair against the signature's MRCA generations, in array passes
+    over the whole block. That path refuses a tree with more than
+    ``rangestats.DEFAULT_TUPLE_CAP`` tuples (``CombinatorialCapError``).
     """
     if abs(log_laplace(law, 1.0)) > 1e-9:
         raise DomainError("law is not calibrated: transform does not vanish at 1")
@@ -158,29 +162,43 @@ def estimate_esp_partition(
 
 
 def _reference_sums(forest, k, svec, coll):
-    """Per-tree signature sums of a forest block by the per-tuple reference
-    enumeration, one :class:`MarkedTree` per tree."""
+    """Per-tree signature sums of a forest block, tuple by tuple.
+
+    A tree's deepest vertices all lie in one generation, so its admissible
+    tuples are its ordered tuples of distinct deepest vertices. Trees with c
+    such vertices share one list of the ordered k-tuples of range(c), offset
+    by each tree's first row; every tuple is tested pair by pair against
+    :func:`pairwise_split_requirements` on the ancestor rows of its slots,
+    at most 2^16 tuples at a time. Refuses, before any work, a tree with more
+    than ``DEFAULT_TUPLE_CAP`` tuples.
+    """
     req = list(pairwise_split_requirements(svec, coll).items())
-    depth = svec[-1]
     ends = np.searchsorted(forest.root[-1], np.arange(len(forest.V[0]) + 1))
-    vals = np.zeros(len(ends) - 1)
-    for i in np.flatnonzero(np.diff(ends) >= k):  # fewer than k vertices sum to 0
-        t = forest.tree(int(i))
-        ids = t.generation_ids(depth)
-        anc = [ids]  # the ancestors of ids, climbed one generation at a time
-        for _ in range(depth):
-            anc.insert(0, t.parent[anc[0]])
-        anc = [a.tolist() for a in anc]
-        first = int(ids[0])
-
-        def has_signature(tree, xs):
-            for (a, b), m in req:
-                ra, rb = xs[a - 1] - first, xs[b - 1] - first
-                if anc[m][ra] != anc[m][rb] or anc[m + 1][ra] == anc[m + 1][rb]:
-                    return 0.0
-            return 1.0
-
-        vals[i], _ = reference_tuple_sum(t, ids, k, has_signature, [t.exp_neg_v[ids]] * k)
+    counts = np.diff(ends)
+    _check_tuple_cap(int(counts.max(initial=0)), k)
+    anc = [np.arange(len(forest.V[-1]))]  # each deepest vertex's ancestor row per generation
+    for g in range(len(forest.V) - 1, 0, -1):
+        anc.insert(0, forest.parent[g][anc[0]])
+    w = np.exp(-forest.V[-1])
+    vals = np.zeros(len(counts))
+    chunk = 1 << 16  # tuples tested per pass
+    for c in np.unique(counts[counts >= k]):  # fewer than k vertices sum to 0
+        trees = np.flatnonzero(counts == c)
+        first = ends[trees][:, None]
+        perms = itertools.permutations(range(c), k)
+        for _ in range(0, math.perm(c, k), chunk):
+            piece = np.fromiter(itertools.chain.from_iterable(itertools.islice(perms, chunk)),
+                                dtype=np.int64).reshape(-1, k).T.copy()
+            step = max(1, chunk // piece.shape[1])
+            for lo in range(0, len(trees), step):
+                xs = first[lo:lo + step] + piece[:, None, :]  # (slots, trees, tuples)
+                term = w[xs[0]]
+                for x in xs[1:]:
+                    term *= w[x]
+                for (a, b), m in req:
+                    xa, xb = xs[a - 1], xs[b - 1]
+                    term *= (anc[m][xa] == anc[m][xb]) & (anc[m + 1][xa] != anc[m + 1][xb])
+                vals[trees[lo:lo + step]] += term.sum(axis=1)
     return vals
 
 

@@ -18,8 +18,8 @@ the top of one on a separate stream.
 
 Two functions write the arena. :func:`tree_from_parents` lays out every
 complete tree, one generation at a time, from parent ids and displacements
-listed breadth first: :func:`generate`, :meth:`MarkedTree.filled`,
-:meth:`Forest.tree` and :func:`load_snapshot` only produce those lists.
+listed breadth first: :func:`generate`, :meth:`MarkedTree.filled` and
+:func:`load_snapshot` only produce those lists.
 :meth:`MarkedTree.draw_children` lays out partial trees, appending one
 generation as the walk reaches it.
 
@@ -403,21 +403,6 @@ class Forest:
             out.insert(0, own[g - 1] + self.roll_up(out[0], g, g - 1))
         return out
 
-    def tree(self, i: int) -> MarkedTree:
-        """Tree ``i`` as a :class:`MarkedTree` down to its last nonempty
-        generation, laid out by :func:`tree_from_parents`, without frontier
-        weights."""
-        parents, disps = [[PARENT_OF_ROOT]], [[0.0]]
-        prev, base = i, 0  # first row of tree i in the level above, and its id
-        for g in range(1, len(self.V)):
-            lo, hi = np.searchsorted(self.root[g], (i, i + 1))
-            rows = self.parent[g][lo:hi]
-            parents.append(rows - prev + base)
-            disps.append(self.V[g][lo:hi] - self.V[g - 1][rows])
-            base += len(parents[-2])
-            prev = lo
-        return tree_from_parents(np.concatenate(parents), np.concatenate(disps))
-
 
 def sample_forest(law: EnvironmentLaw, depth: int, trees: int, rng: np.random.Generator):
     """Draw ``trees`` independent trees of ``depth`` generations, yielded as
@@ -453,9 +438,9 @@ def tree_from_parents(parents, disps, law=None) -> MarkedTree:
     together and in parent order. Generation g+1 is then the run of nodes
     whose parents lie in generation g, and its potentials are the parents'
     plus the displacements. Every complete tree is laid out here:
-    :func:`generate`, :meth:`MarkedTree.filled`, :meth:`Forest.tree` and
-    :func:`load_snapshot`. The frontier child weights are 0 (the frontier
-    reflects) until :func:`generate` draws them.
+    :func:`generate`, :meth:`MarkedTree.filled` and :func:`load_snapshot`.
+    The frontier child weights are 0 (the frontier reflects) until
+    :func:`generate` draws them.
     """
     parent = np.asarray(parents, dtype=np.int64)
     disp = np.asarray(disps, dtype=float)

@@ -97,6 +97,11 @@ MUTANTS = (
             "::test_figure_process_changes_one_after_each_mrca",
             "tests/test_genealogy.py::TestUpsilon::test_figure_membership_holds_at_mrca_generation",
             "tests/test_genealogy.py::test_genealogy_matches_ancestor_definition")),
+    # the brute-force signature test of the reference signature-mean path
+    Mutant("reference-sums-split-not-required", "theory.py",
+           "(anc[m + 1][xa] != anc[m + 1][xb])", "(anc[m + 1][xa] == anc[m + 1][xb])",
+           ("tests/test_theory.py::TestEstimator::test_reference_sums_match_per_tree_enumeration",
+            "tests/test_theory.py::TestEstimator::test_paths_agree_on_one_stream")),
 )
 
 

@@ -29,13 +29,14 @@ def test_no_weighted_choice_in_src():
 
 
 ENUMERATORS = {"reference_tuple_sum", "enumerate_delta_k"}
-ENUMERATION_SITES = {"rangestats.reference_tuple_sum", "theory._reference_sums"}
+ENUMERATION_SITES = {"rangestats.reference_tuple_sum"}
 
 
 def test_per_tuple_enumeration_only_at_oracle_sites():
     # library sums go through the signature engine; per-tuple enumeration
-    # stays in the reference sum and the brute-force signature-mean path
-    # (the exact identities built on it live in tests/identity_oracle.py)
+    # stays in the reference sum (the exact identities built on it live in
+    # tests/identity_oracle.py), and the brute-force signature-mean path
+    # lists its tuples as arrays
     found = set()
     for path in sorted(Path(gwrange.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:

@@ -2,15 +2,19 @@ import ast
 import inspect
 import math
 import textwrap
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import gwrange as g
 from gwrange import rng as rngmod
 from gwrange import environment, theory
 from gwrange import tree as treemod
-from gwrange.errors import DomainError, ScheduleInfeasibleError, SignatureError
-from gwrange.genealogy import IncreasingCollection, Partition, pairwise_split_requirements
+from gwrange import rangestats
+from gwrange.errors import CombinatorialCapError, DomainError, ScheduleInfeasibleError, SignatureError
+from gwrange.genealogy import (IncreasingCollection, Partition, genealogy_indicator,
+                               pairwise_split_requirements)
 from gwrange.theory import desk_band
 from identity_oracle import signature_sum_identity, split_bound_sum_identity
 
@@ -20,6 +24,31 @@ P = Partition.make
 @pytest.fixture(scope="module")
 def pair_collection():
     return IncreasingCollection((P([[1, 2]]), P([[1], [2]])))
+
+
+# (k, split times, collection) of the signature means checked below
+SHAPES = {
+    "pair@3": (2, (3,), IncreasingCollection((P([[1, 2]]), P([[1], [2]])))),
+    "triple@(2,3)": (3, (2, 3), IncreasingCollection(
+        (P([[1, 2, 3]]), P([[1, 3], [2]]), P([[1], [2], [3]])))),
+    "quad@(1,2)": (4, (1, 2), IncreasingCollection(
+        (P([[1, 2, 3, 4]]), P([[1, 2], [3, 4]]), P([[1], [2], [3], [4]])))),
+}
+
+
+def forest_tree(forest, i):
+    """Tree ``i`` of a forest block as a MarkedTree down to its last
+    nonempty generation, laid out by tree_from_parents."""
+    parents, disps = [[treemod.PARENT_OF_ROOT]], [[0.0]]
+    prev, base = i, 0  # first row of tree i in the level above, and its id
+    for gen in range(1, len(forest.V)):
+        lo, hi = np.searchsorted(forest.root[gen], (i, i + 1))
+        rows = forest.parent[gen][lo:hi]
+        parents.append(rows - prev + base)
+        disps.append(forest.V[gen][lo:hi] - forest.V[gen - 1][rows])
+        base += len(parents[-2])
+        prev = lo
+    return g.tree_from_parents(np.concatenate(parents), np.concatenate(disps))
 
 
 class TestClosedForm:
@@ -163,6 +192,51 @@ class TestEstimator:
                                         fast=False)
         assert fast[0] > 0
         assert fast == pytest.approx(slow, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("which", ["default", "extinguishing"])
+    def test_reference_sums_match_per_tree_enumeration(self, shape, which, law,
+                                                       extinguishing_law):
+        # the array passes against reference_tuple_sum with the genealogy
+        # indicator on each tree of the block, rebuilt as a MarkedTree
+        law = {"default": law, "extinguishing": extinguishing_law}[which]
+        k, svec, coll = SHAPES[shape]
+        depth = svec[-1]
+        forest = next(treemod.sample_forest(law, depth, 30, rngmod.stream(10, "est", shape)))
+        vals = theory._reference_sums(forest, k, svec, coll)
+        counts = np.bincount(forest.root[-1], minlength=30)
+        expected = np.zeros(30)
+        for i in np.flatnonzero(counts >= k):
+            t = forest_tree(forest, int(i))
+            ids = t.generation_ids(depth)
+            expected[i] = rangestats.reference_tuple_sum(
+                t, ids, k, lambda tree, xs: genealogy_indicator(tree, xs, svec, coll),
+                [t.exp_neg_v[ids]] * k)[0]
+        assert (expected > 0).any()
+        if which == "extinguishing":
+            assert (counts == 0).any()  # trees that died out sum to 0
+        assert vals == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_reference_path_refuses_beyond_tuple_cap(self, law, pair_collection,
+                                                     monkeypatch):
+        # a depth-3 tree with three or more deepest vertices has 6 ordered pairs
+        monkeypatch.setattr(rangestats, "DEFAULT_TUPLE_CAP", 5)
+        with pytest.raises(CombinatorialCapError, match="exceed cap 5"):
+            g.estimate_esp_partition(law, 2, (3,), pair_collection, 500,
+                                     rngmod.stream(11, "est"), fast=False)
+
+    def test_reference_sums_memory_bounded(self, law):
+        # about 2^16 tuples at a time: this 2000-tree triple block lists
+        # 2.1M tuples, which one unchunked pass holds in about 28 MiB
+        k, svec, coll = SHAPES["triple@(2,3)"]
+        forest = next(treemod.sample_forest(law, svec[-1], 2000, rngmod.stream(12, "est")))
+        tracemalloc.start()
+        try:
+            theory._reference_sums(forest, k, svec, coll)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_uncalibrated_law_rejected(self, pair_collection):
         bad = g.two_point_law(b=0.5)
