@@ -39,6 +39,7 @@ from .genealogy import (
     make_f_m,
     partition_process,
     reduce_collection,
+    signature_from_mrca,
     upsilon_member,
 )
 from .quenched import (
@@ -49,10 +50,12 @@ from .quenched import (
 )
 from .rangestats import (
     RangeStat,
+    band_mrca_generations,
     delta_k_count,
     excursion_class_masses,
     general_range,
     sample_uniform_tuple,
+    sample_uniform_tuples,
     weighted_range_A_l,
 )
 from .rng import stream

@@ -48,13 +48,14 @@ from .environment import (
     two_point_law,
 )
 from .errors import GwrangeError, ScheduleInfeasibleError
-from .genealogy import MAX_GROUND, coalescent_times, make_F_ell_s, make_f_lambda, make_f_m
+from .genealogy import MAX_GROUND, make_F_ell_s, make_f_lambda, make_f_m, signature_from_mrca
 from .quenched import hit_before_return, hit_before_return_oracle
 from .rangestats import (
+    band_mrca_generations,
     delta_k_count,
     excursion_class_masses,
     general_range,
-    sample_uniform_tuple,
+    sample_uniform_tuples,
 )
 from .theory import (EXPERIMENTS, desk_band, limit_report, limit_report_problem,
                      local_time_law_probe, map_replicas, tuple_stream)
@@ -284,9 +285,10 @@ def _genealogy_measure(k, tuples, seed, n, rep, sl):
     when the band has no admissible k-tuple."""
     if sl.size < k or not delta_k_count(sl, k):
         return []
-    srng = tuple_stream(seed, n, rep)
-    return [coalescent_times(sl.tree, sample_uniform_tuple(sl, k, srng))
-            for _ in range(tuples)]
+    drawn = sample_uniform_tuples(sl, k, tuples, tuple_stream(seed, n, rep))
+    pairs = list(itertools.combinations(range(1, k + 1), 2))
+    return [signature_from_mrca(dict(zip(pairs, row)), k)
+            for row in band_mrca_generations(sl, drawn).tolist()]
 
 
 def _cmd_genealogy(args, cp, law, outdir):

@@ -34,6 +34,7 @@ __all__ = [
     "first_full_split",
     "partition_process",
     "coalescent_times",
+    "signature_from_mrca",
     "upsilon_member",
     "genealogy_indicator",
     "reduce_collection",
@@ -100,11 +101,14 @@ class Partition:
             groups.setdefault(lab, []).append(i)
         return cls.make(groups.values())
 
+    # partitions are immutable, so each reference partition is built once per k
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def one_block(cls, k: int) -> "Partition":
         return cls.make([range(1, k + 1)])
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def singletons(cls, k: int) -> "Partition":
         return cls.make([[i] for i in range(1, k + 1)])
 
@@ -354,7 +358,12 @@ def coalescent_times(tree: MarkedTree, xs) -> GenealogySignature:
     distinct pairwise MRCA generations plus one.
     """
     _validate_tuple(tree, xs)
-    k, table = len(xs), _mrca_table(tree, xs)
+    return signature_from_mrca(_mrca_table(tree, xs), len(xs))
+
+
+def signature_from_mrca(table: dict, k: int) -> GenealogySignature:
+    """The signature of an admissible k-tuple from its pairwise MRCA
+    generations, keyed by slot pairs (a, b), 1 <= a < b <= k."""
     times = tuple(sorted({d + 1 for d in table.values()}))
     levels = (Partition.one_block(k),) + tuple(_partition_at(table, k, m) for m in times)
     return GenealogySignature(times, IncreasingCollection(levels))

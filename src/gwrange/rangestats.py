@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CombinatorialCapError, EmptySupportError
-from .tree import Forest, MarkedTree, ancestral_pair, enumerate_delta_k
+from .tree import Forest, MarkedTree, enumerate_delta_k
 from .walk import RangeSlice
 from .genealogy import (
     Constraint,
@@ -41,6 +41,8 @@ __all__ = [
     "excursion_class_masses",
     "weighted_range_A_l",
     "sample_uniform_tuple",
+    "sample_uniform_tuples",
+    "band_mrca_generations",
     "delta_k_count",
 ]
 
@@ -314,26 +316,83 @@ def weighted_range_A_l(
     return forest_tuple_sum(forest, [[0] * level + [powered[b]] for b in beta], k, f)
 
 
-def sample_uniform_tuple(slice_: RangeSlice, k: int, rng: np.random.Generator):
-    """Uniform draw from the admissible ordered k-tuples of the band.
+@functools.lru_cache(maxsize=8)
+def _slot_pairs(k: int) -> np.ndarray:
+    """Slots a < b of each pair of a k-tuple, in combinations order, as rows
+    (a, b) of a read-only array."""
+    pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
+    pairs.flags.writeable = False
+    return pairs
 
-    Exact rejection from ordered distinct-vertex draws. Raises when the
-    band is too small or its admissible support is verified empty.
+
+def sample_uniform_tuples(slice_: RangeSlice, k: int, count: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent uniform draws from the admissible ordered
+    k-tuples of the band, as a (count, k) array of vertex ids.
+
+    Exact rejection from ordered distinct-vertex draws, one draw of k
+    distinct band rows without replacement per candidate: the draws, the
+    tuples and the stream's final state are those of ``count`` calls of
+    :func:`sample_uniform_tuple`. Candidates come in batches of at most
+    the tuples still missing, so no draw is made past the last tuple's,
+    and a batch is tested by lookups in the band's ancestor table
+    (:attr:`RangeSlice.ancestors`): two slots are ancestrally related
+    exactly when the deeper slot's ancestor at the shallower slot's
+    generation is that slot. Raises when the band is too small or its
+    admissible support is verified empty, after the same draws as the
+    one-tuple calls.
     """
-    ids = slice_.ids
+    ids, gens = slice_.ids, slice_.gens
     n = len(ids)
     if n < k:
         raise EmptySupportError(f"band holds {n} < k = {k} vertices")
-    tree = slice_.tree
-    # one exact emptiness check, early enough that an empty band raises fast
-    check_at = SAMPLE_MAX_ATTEMPTS // 100
-    for attempt in range(SAMPLE_MAX_ATTEMPTS):
-        if attempt == check_at and tuple_sum(tree, ids, k) == 0:
+    anc = slice_.ancestors
+    ia, ib = _slot_pairs(k)
+    out = np.empty((count, k), dtype=np.int64)
+    done = 0
+    # rejections of the tuple being drawn; one exact emptiness check, early
+    # enough that an empty band raises fast
+    attempt, check_at = 0, SAMPLE_MAX_ATTEMPTS // 100
+    while done < count:
+        if attempt == check_at and tuple_sum(slice_.tree, ids, k) == 0:
             raise EmptySupportError("admissible tuple set is empty")
-        pick = rng.choice(n, size=k, replace=False)
-        tup = tuple(int(ids[i]) for i in pick)
-        if ancestral_pair(tree, tup) is None:
-            return tup
-    raise EmptySupportError(
-        f"rejection failed after {SAMPLE_MAX_ATTEMPTS} attempts on nonempty support"
-    )
+        # no batch runs past the emptiness check or the last attempt of
+        # the tuple being drawn
+        size = min(count - done, (check_at if attempt < check_at else SAMPLE_MAX_ATTEMPTS)
+                   - attempt)
+        picks = np.empty((size, k), dtype=np.int64)
+        for j in range(size):
+            picks[j] = rng.choice(n, size=k, replace=False)
+        # two slots are related when their rows agree at the shallower
+        # slot's generation, where its row holds the slot itself
+        a, b = picks[:, ia], picks[:, ib]
+        at = np.minimum(gens[a], gens[b])
+        hits = np.flatnonzero(~(anc[a, at] == anc[b, at]).any(axis=1))
+        out[done:done + len(hits)] = picks[hits]
+        done += len(hits)
+        attempt = size - 1 - int(hits[-1]) if len(hits) else attempt + size
+        if attempt == SAMPLE_MAX_ATTEMPTS:
+            raise EmptySupportError(
+                f"rejection failed after {SAMPLE_MAX_ATTEMPTS} attempts on nonempty support"
+            )
+    return ids[out]
+
+
+def sample_uniform_tuple(slice_: RangeSlice, k: int, rng: np.random.Generator):
+    """Uniform draw from the admissible ordered k-tuples of the band: the
+    one-tuple case of :func:`sample_uniform_tuples`, as a tuple of ids."""
+    return tuple(sample_uniform_tuples(slice_, k, 1, rng)[0].tolist())
+
+
+def band_mrca_generations(slice_: RangeSlice, tuples) -> np.ndarray:
+    """Pairwise most recent common ancestor generations of band tuples.
+
+    ``tuples`` is a (count, k) array of admissible band tuples; column c of
+    the result is slot pair c in :func:`itertools.combinations` order,
+    read as one less than the number of generations where the two slots'
+    rows of :attr:`RangeSlice.ancestors` agree.
+    """
+    rows = np.searchsorted(slice_.ids, tuples)
+    ia, ib = _slot_pairs(rows.shape[1])
+    x, y = slice_.ancestors[rows[:, ia]], slice_.ancestors[rows[:, ib]]
+    return ((x == y) & (x >= 0)).sum(axis=2) - 1

@@ -34,15 +34,15 @@ from .genealogy import (
     Constraint,
     GenealogySignature,
     IncreasingCollection,
-    first_full_split,
     pairwise_split_requirements,
 )
 from .rangestats import (
     _check_tuple_cap,
+    band_mrca_generations,
     delta_k_count,
     excursion_class_masses,
     general_range,
-    sample_uniform_tuple,
+    sample_uniform_tuples,
     signature_sum,
     weighted_range_A_l,
 )
@@ -317,9 +317,9 @@ def _band_measure(with_classes, tuples_per_run, seed, n, rep, sl) -> BandRun:
     # a band on one line of descent has vertices but no admissible pair
     if (tuples_per_run > 0 and sl.size >= 2
             and (masses["total"] if masses else delta_k_count(sl, 2))):
-        srng = tuple_stream(seed, n, rep)
-        splits = [first_full_split(tree, sample_uniform_tuple(sl, 2, srng))
-                  for _ in range(tuples_per_run)]
+        pairs = sample_uniform_tuples(sl, 2, tuples_per_run, tuple_stream(seed, n, rep))
+        # a pair's first full split is one past its MRCA generation
+        splits = (band_mrca_generations(sl, pairs)[:, 0] + 1).tolist()
     return BandRun(
         n=n,
         replica=rep,
@@ -350,7 +350,11 @@ def run_band_experiment(
     Each run of :func:`map_replicas` is summarized as a :class:`BandRun`:
     depth martingale, band count, optionally the excursion-class masses and
     the full-split generations of ``tuples_per_run`` uniform pairs (none on
-    a band without an admissible pair).
+    a band without an admissible pair). The pairs are drawn in one call of
+    :func:`gwrange.rangestats.sample_uniform_tuples`, and each pair's full
+    split is read from the band's ancestor table
+    (:attr:`gwrange.walk.RangeSlice.ancestors`) as the number of
+    generations where the two rows agree.
     """
     measure = functools.partial(_band_measure, with_classes, tuples_per_run)
     return map_replicas(law, n, replicas, seed, band, measure, threads)

@@ -50,6 +50,8 @@ embarrassingly parallel on independent streams.
 from __future__ import annotations
 
 import csv
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +82,7 @@ class WalkTrace:
     edge_local_time: np.ndarray  # entries from the parent up to T^s
     excursion_count: np.ndarray  # number of excursions with an entry
     first_excursion: np.ndarray  # 1-based index of the first visiting excursion
-    entry_excursions: list  # per vertex, sorted excursion indices with entries
+    entry_excursions: Sequence  # per vertex, sorted excursion indices with entries
     root_local_time: int  # visits to the reflecting vertex = s
 
     def index_of(self, u: int) -> int:
@@ -92,6 +94,22 @@ class WalkTrace:
     def was_visited(self, u: int) -> bool:
         i = int(np.searchsorted(self.ids, u))
         return i < len(self.ids) and self.ids[i] == u
+
+
+class _EntryExcursions(Sequence):
+    """Per-vertex entry excursions read from one column sorted by vertex:
+    item i is ``column[bounds[i]:bounds[i + 1]]``, a view cut on each access."""
+
+    def __init__(self, column: np.ndarray, bounds: np.ndarray):
+        self.column = column
+        self.bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return self.column[self.bounds[i]:self.bounds[i + 1]]
 
 
 def run_excursions(tree: MarkedTree, s: int, rng: np.random.Generator) -> WalkTrace:
@@ -174,7 +192,7 @@ def _assemble(tree, s, rows):
         edge_local_time=np.add.reduceat(entries, starts),
         excursion_count=np.diff(bounds),
         first_excursion=exc[starts],
-        entry_excursions=[exc[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())],
+        entry_excursions=_EntryExcursions(exc, bounds),
         root_local_time=int(s),
     )
 
@@ -202,6 +220,25 @@ class RangeSlice:
     @property
     def width(self) -> int:
         return self.upper - self.lower + 1
+
+    @functools.cached_property
+    def ancestors(self) -> np.ndarray:
+        """The band's ancestor table, built on first use and kept: row i
+        holds the ancestor of ``ids[i]`` at each generation 0 to ``gens[i]``
+        (the vertex itself last) and -1 below, filled by one climb of
+        ``tree.parent`` per generation. Band vertices x, y with |x| <= |y|
+        are ancestrally related exactly when row y holds x at generation
+        |x|, and down to the shallower of their generations two rows agree
+        exactly up to their most recent common ancestor's, so sampled
+        tuples are tested and split by lookups instead of climbs."""
+        table = np.full((self.size, self.max_generation + 1), -1, dtype=np.int64)
+        cur = self.ids.copy()
+        for g in range(self.max_generation, -1, -1):
+            on = self.gens >= g
+            table[on, g] = cur[on]
+            cur[on] = self.tree.parent[cur[on]]
+        table.flags.writeable = False
+        return table
 
     def first_excursions(self) -> np.ndarray:
         return self.trace.first_excursion[self.rows]

@@ -102,6 +102,31 @@ MUTANTS = (
            "(anc[m + 1][xa] != anc[m + 1][xb])", "(anc[m + 1][xa] == anc[m + 1][xb])",
            ("tests/test_theory.py::TestEstimator::test_reference_sums_match_per_tree_enumeration",
             "tests/test_theory.py::TestEstimator::test_paths_agree_on_one_stream")),
+    # sampled band tuples read the slice's ancestor table
+    Mutant("first-split-off-by-one", "theory.py",
+           "[:, 0] + 1)", "[:, 0] + 2)",
+           ("tests/test_cli.py::TestReproducibility::test_artifact_digests_pinned[split-cdf]",
+            "tests/test_rangestats.py::TestBatchedSampling::test_measures_match_per_tuple_climbs")),
+    Mutant("admissibility-at-deeper-generation", "rangestats.py",
+           "at = np.minimum(gens[a], gens[b])", "at = np.maximum(gens[a], gens[b])",
+           ("tests/test_cli.py::TestReproducibility::test_artifact_digests_pinned[split-cdf]",
+            "tests/test_cli.py::TestReproducibility::test_artifact_digests_pinned[genealogy]",
+            "tests/test_rangestats.py::TestBatchedSampling"
+            "::test_same_tuples_and_stream_as_one_attempt_oracle")),
+    Mutant("mrca-rows-agree-past-either-slot", "rangestats.py",
+           "((x == y) & (x >= 0))", "(x == y)",
+           ("tests/test_cli.py::TestReproducibility::test_artifact_digests_pinned[genealogy]",
+            "tests/test_rangestats.py::TestBatchedSampling::test_table_reads_match_tree_climbs",
+            "tests/test_rangestats.py::TestBatchedSampling::test_measures_match_per_tuple_climbs")),
+    Mutant("batch-draws-one-past-the-missing-tuples", "rangestats.py",
+           "size = min(count - done,", "size = min(count - done + 1,",
+           ("tests/test_rangestats.py::TestBatchedSampling"
+            "::test_same_tuples_and_stream_as_one_attempt_oracle",)),
+    Mutant("ancestor-table-skips-the-root", "walk.py",
+           "for g in range(self.max_generation, -1, -1):",
+           "for g in range(self.max_generation, 0, -1):",
+           ("tests/test_walk.py::TestRangeSlice::test_ancestor_table_matches_climbs",
+            "tests/test_rangestats.py::TestBatchedSampling::test_table_reads_match_tree_climbs")),
 )
 
 

@@ -20,10 +20,13 @@ from gwrange.rangestats import (
     reference_tuple_sum,
     tuple_sum,
 )
-from gwrange.theory import desk_band
+from gwrange.cli import _genealogy_measure
+from gwrange.theory import _band_measure, desk_band, map_replicas, tuple_stream
+from gwrange.tree import mrca_generation
 from gwrange.walk import range_slice, run_excursions
 from excursion_class_oracle import classify_tuple_excursions
 from quasi_independent_oracle import quasi_independent_range, sum_quasi_independent
+from tuple_sampling_oracle import sample_uniform_tuple_by_climbs
 
 
 @pytest.fixture(scope="module")
@@ -420,3 +423,93 @@ class TestUniformSampling:
         with pytest.raises(EmptySupportError, match="admissible tuple set is empty"):
             g.sample_uniform_tuple(sl, 2, np.random.default_rng(1))
         assert time.perf_counter() - t0 < 0.5
+
+    def test_empty_support_raises_fast_in_batches(self):
+        # as above, with 300 tuples asked for at once
+        tree = g.tree_from_parents([-1, 0, 1], [0.0, 0.2, 0.4])
+        sl = range_slice(run_excursions(tree, 300, rngmod.stream(706, "w")), tree, 1, 2)
+        t0 = time.perf_counter()
+        with pytest.raises(EmptySupportError, match="admissible tuple set is empty"):
+            g.sample_uniform_tuples(sl, 2, 300, np.random.default_rng(1))
+        assert time.perf_counter() - t0 < 0.5
+
+
+def _keep_slice(seed, n, rep, sl):
+    return sl
+
+
+# (budget, band): the desk band of the budget, and a band from generation 1
+# whose tuples are often ancestrally related (about 40% of its 4-tuples are
+# admissible on both laws)
+SAMPLING_BANDS = {"desk": (10_000, None), "wide": (1_000, (1, 6))}
+
+
+@pytest.fixture(scope="module")
+def sampling_slices(law, extinguishing_law):
+    laws = {"default": law, "extinguishing": extinguishing_law}
+    return {(name, band): map_replicas(laws[name], n, 1, 3, edges, _keep_slice)[0]
+            for name in laws for band, (n, edges) in SAMPLING_BANDS.items()}
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("band", sorted(SAMPLING_BANDS))
+    @pytest.mark.parametrize("law_name", ["default", "extinguishing"])
+    def test_same_tuples_and_stream_as_one_attempt_oracle(self, sampling_slices, law_name,
+                                                          band, k):
+        sl = sampling_slices[law_name, band]
+        if band == "wide" and k == 4:
+            assert g.delta_k_count(sl, k) < 0.5 * math.perm(sl.size, k)
+        batched, single = rngmod.stream(808, "t"), rngmod.stream(808, "t")
+        got = g.sample_uniform_tuples(sl, k, 300, batched)
+        want = [sample_uniform_tuple_by_climbs(sl, k, single) for _ in range(300)]
+        assert got.shape == (300, k) and [tuple(t) for t in got.tolist()] == want
+        assert batched.random() == single.random()
+        assert g.sample_uniform_tuple(sl, k, batched) == sample_uniform_tuple_by_climbs(
+            sl, k, single)
+
+    @pytest.mark.parametrize("case", ["rejection-fails", "empty-support"])
+    def test_same_refusal_and_stream_as_one_attempt_oracle(self, sampling_slices, monkeypatch,
+                                                           case):
+        # three attempts fail on some 4-tuple of the wide band; on the
+        # unary chain every attempt fails and the emptiness check refuses
+        if case == "rejection-fails":
+            attempts, sl, k = 3, sampling_slices["default", "wide"], 4
+        else:
+            chain = g.tree_from_parents([-1, 0, 1], [0.0, 0.2, 0.4])
+            trace = run_excursions(chain, 300, rngmod.stream(706, "w"))
+            attempts, sl, k = 200, range_slice(trace, chain, 1, 2), 2
+        monkeypatch.setattr(rangestats, "SAMPLE_MAX_ATTEMPTS", attempts)
+        batched, single = rngmod.stream(809, "t"), rngmod.stream(809, "t")
+        with pytest.raises(EmptySupportError) as got:
+            g.sample_uniform_tuples(sl, k, 300, batched)
+        with pytest.raises(EmptySupportError) as want:
+            for _ in range(300):
+                sample_uniform_tuple_by_climbs(sl, k, single)
+        assert str(got.value) == str(want.value)
+        assert batched.random() == single.random()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_table_reads_match_tree_climbs(self, sampling_slices, k):
+        pairs = list(itertools.combinations(range(1, k + 1), 2))
+        for sl in sampling_slices.values():
+            tuples = g.sample_uniform_tuples(sl, k, 100, rngmod.stream(810, "t"))
+            mrca = g.band_mrca_generations(sl, tuples)
+            for tup, row in zip(tuples.tolist(), mrca.tolist()):
+                assert row == [mrca_generation(sl.tree, tup[a - 1], tup[b - 1])
+                               for a, b in pairs]
+                assert max(row) + 1 == g.first_full_split(sl.tree, tup)
+                assert (g.signature_from_mrca(dict(zip(pairs, row)), k)
+                        == g.coalescent_times(sl.tree, tup))
+
+    def test_measures_match_per_tuple_climbs(self, sampling_slices):
+        for sl in sampling_slices.values():
+            splits = _band_measure(False, 200, 5, 100, 0, sl).split_samples
+            stream = tuple_stream(5, 100, 0)
+            assert splits == [g.first_full_split(sl.tree, sample_uniform_tuple_by_climbs(
+                sl, 2, stream)) for _ in range(200)]
+            for k in (3, 4):
+                stream = tuple_stream(5, 100, 0)
+                assert _genealogy_measure(k, 50, 5, 100, 0, sl) == [
+                    g.coalescent_times(sl.tree, sample_uniform_tuple_by_climbs(sl, k, stream))
+                    for _ in range(50)]

@@ -191,6 +191,19 @@ class TestExcursionStats:
         with pytest.raises(QueryError):
             excursion_stats(trace, unvisited)
 
+    def test_entry_excursions_read_from_one_column(self, medium_tree):
+        trace = g.run_excursions(medium_tree, 30, rngmod.stream(14, "w"))
+        entries = trace.entry_excursions
+        assert len(entries) == len(trace.ids)
+        listed = list(entries)
+        for i, e in enumerate(listed):
+            assert np.array_equal(entries[i], e)
+            assert len(e) == trace.excursion_count[i] and e[0] == trace.first_excursion[i]
+            assert (np.diff(e) > 0).all()
+        assert np.array_equal(entries[-1], listed[-1])
+        with pytest.raises(IndexError):
+            entries[len(listed)]
+
     def test_multi_visit_suppression_in_band(self, law):
         # the band is deep enough that nearly every visited vertex there is
         # seen during a single excursion; pooled over replicas the fraction
@@ -213,6 +226,19 @@ class TestRangeSlice:
         sl = g.range_slice(trace, medium_tree, medium_tree.depth + 1,
                            medium_tree.depth + 5)
         assert sl.size == 0 and sl.max_generation == -1
+        assert sl.ancestors.shape == (0, 0)
+
+    def test_ancestor_table_matches_climbs(self, medium_tree):
+        trace = g.run_excursions(medium_tree, 12, rngmod.stream(15, "w"))
+        sl = g.range_slice(trace, medium_tree, 3, 8)
+        table = sl.ancestors
+        assert table.shape == (sl.size, sl.max_generation + 1)
+        assert sl.ancestors is table  # built once per slice
+        for row, (x, gx) in enumerate(zip(sl.ids.tolist(), sl.gens.tolist())):
+            path = [x]
+            while path[-1] != 0:
+                path.append(int(medium_tree.parent[path[-1]]))
+            assert table[row].tolist() == path[::-1] + [-1] * (sl.max_generation - gx)
 
     def test_csv_export(self, medium_tree, tmp_path):
         trace = g.run_excursions(medium_tree, 5, rngmod.stream(13, "w"))
