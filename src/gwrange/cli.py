@@ -7,7 +7,7 @@ Subcommands:
 * ``simulate``     tree + walk replicas, trace and band-slice exports
 * ``genealogy``    signatures and split-time histograms of sampled tuples
 * ``verify``       limit-comparison report for one experiment id
-* ``oracle``       closed-form hitting probability vs sparse linear solve
+* ``oracle``       closed-form hitting probability vs linear solve by elimination
 
 Configuration is an INI file with sections [law], [schedule], [experiment];
 the command line overrides seed, replica count, worker count and output
@@ -59,7 +59,7 @@ from .rangestats import (
 )
 from .theory import (EXPERIMENTS, desk_band, limit_report, limit_report_problem,
                      local_time_law_probe, map_replicas, tuple_stream)
-from .tree import generate, save_snapshot
+from .tree import DEFAULT_NODE_CAP, _expected_nodes, generate, save_snapshot
 from .walk import trace_to_csv
 
 
@@ -101,11 +101,16 @@ def _constraint_id(args, cp):
     return args.constraint or cp.get("experiment", "constraint", fallback="one")
 
 
-def _argument_problem(args, cp):
+def _argument_problem(args, cp, law):
     """Why the arguments cannot run, or None; checked before any work."""
-    if args.command == "oracle" and (args.cases < 1 or args.depth_max < 3):
-        return (f"need --cases >= 1 and --depth-max >= 3, got {args.cases} "
-                f"and {args.depth_max}")
+    if args.command == "oracle":
+        if args.cases < 1 or args.depth_max < 3:
+            return (f"need --cases >= 1 and --depth-max >= 3, got {args.cases} "
+                    f"and {args.depth_max}")
+        expected = _expected_nodes(law, args.depth_max)
+        if expected > DEFAULT_NODE_CAP:
+            return (f"need a --depth-max whose expected node count is at most "
+                    f"{DEFAULT_NODE_CAP}, got {expected:.3g} at {args.depth_max}")
     if args.command == "assumptions" and args.k < 2:
         return f"need --k >= 2, got {args.k}"
     if args.command in ("simulate", "genealogy", "verify"):
@@ -428,7 +433,7 @@ def main(argv=None) -> int:
         _write_manifest(outdir, args, "", "config-error", failure=str(err))
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    problem = _argument_problem(args, cp)
+    problem = _argument_problem(args, cp, law)
     if problem is not None:
         _write_manifest(outdir, args, config_text, "failed", failure=problem)
         print(f"{args.command}: {problem}", file=sys.stderr)

@@ -3,9 +3,10 @@
 The closed forms here are rational expressions in exp(V) along ancestral
 lines; they are evaluated in log-sum-exp form since potentials grow
 linearly in the generation. An independent oracle solves the same hitting
-problem as a harmonic function on the full truncated tree, by one sparse
-direct solve, and is used to cross-check the closed form. Everything here
-is a pure function of an immutable tree.
+problem as a harmonic function on the full truncated tree, by Gaussian
+elimination from the leaves up (on a tree it has no fill-in), and is used
+to cross-check the closed form. Everything here is a pure function of an
+immutable tree.
 """
 
 from __future__ import annotations
@@ -55,38 +56,49 @@ def hit_before_return(tree: MarkedTree, z: int, x: int) -> float:
 def hit_before_return_oracle(tree: MarkedTree, z: int, x: int) -> float:
     """Same probability via the harmonic system h = P h, h(x)=1, h(reflector)=0.
 
-    The system runs over every materialized vertex; at the truncation
-    frontier the unmaterialized children contribute a self-loop (the walk
-    returns from below with probability one without hitting x, which lies
-    in the materialized part). I - P is assembled as a sparse matrix, with
-    row x replaced by the boundary condition, and solved once by a sparse
-    direct solve.
+    The system runs over every materialized vertex, with conductance
+    w_v = exp(-V(v)) on the edge from v to its parent. On a tree it is
+    solved exactly by Gaussian elimination from the leaves up, with no
+    fill-in: generation by generation from the deepest, each vertex gets
+    h(v) = a_v h(parent v) + b_v, where a_v = w_v / D_v and
+    b_v = sum_c w_c b_c / D_v over its children c, with
+    D_v = w_v + sum_c w_c (1 - a_c). D_v and 1 - a_v = (D_v - w_v) / D_v
+    are sums of nonnegative terms, so nothing cancels. At x the boundary
+    condition gives a = 0 and b = 1. At the truncation frontier the
+    unmaterialized children contribute a self-loop (the walk returns from
+    below with probability one without hitting x, which lies in the
+    materialized part); it cancels from the vertex's row, leaving
+    h(v) = h(parent v), the a = 1, b = 0 of a vertex with no children.
+    The reflector has h = 0, so h(z) is read by descending the ancestor
+    chain of z from the root.
     """
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import spsolve
-
     tree.require_complete()
     if not is_ancestor(tree, z, x):
         raise AncestryError(f"{z} is not on the ancestral line of {x}")
-    n = tree.size
-    w = tree.exp_neg_v
-    down = np.zeros(n)
-    down[tree.gen_offsets[tree.depth] : tree.gen_offsets[tree.depth + 1]] = tree.halo_weight
-    kids = np.flatnonzero(tree.parent >= 0)
-    par = tree.parent[kids]
-    total = w + np.bincount(par, weights=w[kids], minlength=n) + down
-    diag = np.arange(n)
-    rows = np.concatenate((diag, kids, par))
-    cols = np.concatenate((diag, par, kids))
-    vals = np.concatenate((1.0 - down / total, -w[kids] / total[kids], -w[kids] / total[par]))
-    keep = rows != x
-    A = csc_matrix(
-        (np.append(vals[keep], 1.0), (np.append(rows[keep], x), np.append(cols[keep], x))),
-        shape=(n, n),
-    )
-    b = np.zeros(n)
-    b[x] = 1.0
-    return float(spsolve(A, b)[z])
+    chain = tree.ancestor_chain(z)
+    off = np.append(tree.gen_offsets, tree.size)  # the frontier's children: none
+    a = np.empty(len(chain))
+    b = np.empty(len(chain))
+    # per child c of the generation being eliminated: w_c (1 - a_c) and w_c b_c
+    child_rest = child_b = np.zeros(0)
+    for g in range(tree.depth, -1, -1):
+        lo, hi = int(off[g]), int(off[g + 1])
+        par = tree.parent[hi : off[g + 2]] - lo
+        rest = np.bincount(par, weights=child_rest, minlength=hi - lo)  # D_v - w_v
+        w = np.exp(-tree.V[lo:hi])
+        d = w + rest
+        a_g = w / d
+        b_g = np.bincount(par, weights=child_b, minlength=hi - lo) / d
+        rest = rest / d  # 1 - a_v
+        if lo <= x < hi:
+            a_g[x - lo], b_g[x - lo], rest[x - lo] = 0.0, 1.0, 1.0
+        if g < len(chain):
+            a[g], b[g] = a_g[chain[g] - lo], b_g[chain[g] - lo]
+        child_rest, child_b = w * rest, w * b_g
+    h = 0.0
+    for g in range(len(chain)):
+        h = float(a[g] * h + b[g])
+    return h
 
 
 def quenched_mean_quasi_independent(

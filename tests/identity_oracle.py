@@ -3,7 +3,7 @@
 The identities sum per tuple through
 :func:`gwrange.rangestats.reference_tuple_sum` and hold bitwise on every
 tree (ACC-12); the cross check compares the closed-form hitting
-probability with the sparse-solve oracle on one tree (ACC-01).
+probability with the elimination oracle on one tree (ACC-01).
 """
 
 import itertools

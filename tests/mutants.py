@@ -122,6 +122,25 @@ MUTANTS = (
            "size = min(count - done,", "size = min(count - done + 1,",
            ("tests/test_rangestats.py::TestBatchedSampling"
             "::test_same_tuples_and_stream_as_one_attempt_oracle",)),
+    # the leaf-first elimination of the hitting oracle
+    Mutant("oracle-boundary-a-kept", "quenched.py",
+           "a_g[x - lo], b_g[x - lo], rest[x - lo] = 0.0, 1.0, 1.0",
+           "b_g[x - lo], rest[x - lo] = 1.0, 1.0",
+           ("tests/test_quenched.py::TestOracle",
+            "tests/test_acceptance.py::test_acc01_oracle_agreement")),
+    Mutant("oracle-child-sums-unweighted", "quenched.py",
+           "child_rest, child_b = w * rest, w * b_g", "child_rest, child_b = rest, b_g",
+           ("tests/test_quenched.py::TestOracle",
+            "tests/test_acceptance.py::test_acc01_oracle_agreement")),
+    Mutant("oracle-frontier-self-loop-absorbs", "quenched.py",
+           "minlength=hi - lo)  # D_v - w_v",
+           "minlength=hi - lo) + (tree.halo_weight if g == tree.depth else 0.0)",
+           ("tests/test_quenched.py::TestOracle",
+            "tests/test_acceptance.py::test_acc01_oracle_agreement")),
+    Mutant("oracle-descent-skips-the-root", "quenched.py",
+           "for g in range(len(chain)):", "for g in range(1, len(chain)):",
+           ("tests/test_quenched.py::TestOracle",
+            "tests/test_acceptance.py::test_acc01_oracle_agreement")),
     Mutant("ancestor-table-skips-the-root", "walk.py",
            "for g in range(self.max_generation, -1, -1):",
            "for g in range(self.max_generation, 0, -1):",

@@ -50,13 +50,16 @@ class TestSubcommands:
                    tmp_path) == 0
         lines = (tmp_path / "oracle.csv").read_text().splitlines()
         assert len(lines) == 16
+        assert max(float(line.split(",")[-1]) for line in lines[1:]) < 1e-9
 
-    @pytest.mark.parametrize("args", [["--cases", "2", "--depth-max", "2"], ["--cases", "-3"]])
+    @pytest.mark.parametrize("args", [["--cases", "2", "--depth-max", "2"], ["--cases", "-3"],
+                                      ["--cases", "3", "--depth-max", "40"]])
     def test_oracle_refuses_bad_arguments(self, tmp_path, capsys, args):
-        assert run(["oracle"] + args, tmp_path) != 0
+        assert run(["oracle"] + args, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("oracle: need") and err.count("\n") == 1
         assert not (tmp_path / "oracle.csv").exists()
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
 
     def test_simulate_and_genealogy(self, tmp_path):
         assert run(["simulate", "--n-grid", "2000", "--replicas", "2", "--seed", "4"],

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,8 +63,7 @@ def _imports_scipy_sparse(node):
 
 
 def test_scipy_sparse_imported_only_inside_functions():
-    # a module-level scipy.sparse import costs every workload its memory,
-    # while only the hitting oracle solves a sparse system
+    # a module-level scipy.sparse import costs every workload its memory
     found = []
     for path in sorted(Path(gwrange.__file__).parent.glob("*.py")):
         todo = list(ast.parse(path.read_text()).body)
@@ -72,6 +74,27 @@ def test_scipy_sparse_imported_only_inside_functions():
             elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 todo.extend(ast.iter_child_nodes(node))
     assert found == []
+
+
+def test_no_scipy_sparse_import_in_src():
+    # the hitting oracle eliminates leaf-first; the general sparse solve is
+    # a test oracle (tests/sparse_hitting_oracle.py)
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(gwrange.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _imports_scipy_sparse(node)]
+    assert found == []
+
+
+def test_oracle_command_loads_no_scipy_sparse(tmp_path):
+    script = ("import sys\n"
+              "from gwrange.cli import main\n"
+              f"assert main(['oracle', '--cases', '5', '--out', {str(tmp_path)!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    src = str(Path(gwrange.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_walk_kernel_has_no_step_loop():

@@ -10,6 +10,7 @@ from gwrange.errors import AncestryError
 from gwrange.quenched import phi
 from conductance_oracle import conductance_H
 from identity_oracle import cross_check
+from sparse_hitting_oracle import sparse_hit_before_return
 
 
 class TestClosedForm:
@@ -114,6 +115,68 @@ class TestOracle:
         gap = cross_check(small_tree, 0, x, tol=1e-9, dump_path=path)
         assert gap < 1e-9
         assert not path.exists()
+
+
+class TestEliminationMatchesSparseSolve:
+    """The leaf-first elimination against the general-purpose sparse solve
+    of the same system, which assumes nothing of the tree shape."""
+
+    @staticmethod
+    def assert_agree(tree, z, x):
+        assert g.hit_before_return_oracle(tree, z, x) == pytest.approx(
+            sparse_hit_before_return(tree, z, x), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 3, 900])
+    def test_oracle_stream_instances(self, law, seed):
+        for case in range(30):
+            rng = rngmod.stream(seed, "oracle", case)
+            tree = g.generate(law, int(rng.integers(3, 9)), rng=rng)
+            ids = tree.generation_ids(tree.depth)
+            x = int(ids[rng.integers(len(ids))])
+            chain = tree.ancestor_chain(x)
+            self.assert_agree(tree, int(chain[rng.integers(len(chain))]), x)
+
+    def test_large_tree(self, law):
+        tree = g.generate(law, 12, seed=5)
+        rng = np.random.default_rng(12)
+        for gen in (12, 9, 4):
+            x = int(rng.choice(tree.generation_ids(gen)))
+            chain = tree.ancestor_chain(x)
+            for z in (0, int(chain[rng.integers(len(chain))]), x):
+                self.assert_agree(tree, z, x)
+
+    def test_childless_interior_vertices(self):
+        parents = [-1, 0, 0, 1, 1, 3, 3, 4, 6]
+        t = g.tree_from_parents(parents, [0.0, 0.4, -0.3, 0.2, 0.7, -0.5, 0.1, 0.3, -0.2])
+        for x in range(t.size):
+            for z in t.ancestor_chain(x):
+                self.assert_agree(t, int(z), x)
+
+    def test_gaussian_law(self):
+        tree = g.generate(g.gaussian_law(children=2, sd=0.5), 9, seed=7)
+        rng = np.random.default_rng(7)
+        for gen in (9, 5):
+            x = int(rng.choice(tree.generation_ids(gen)))
+            for z in tree.ancestor_chain(x):
+                self.assert_agree(tree, int(z), x)
+
+    def test_target_at_root(self, small_tree):
+        assert g.hit_before_return_oracle(small_tree, 0, 0) == 1.0
+        self.assert_agree(small_tree, 0, 0)
+
+
+def test_oracle_memory_a_few_arrays_of_tree_size(law):
+    # bound fixed before measuring: six float64 arrays of tree size (the
+    # sparse solve peaked at about 36 of them)
+    tree = g.generate(law, 16, seed=5)
+    x = int(tree.generation_ids(tree.depth)[-1])
+    tracemalloc.start()
+    try:
+        g.hit_before_return_oracle(tree, 0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * tree.size
 
 
 class TestQuenchedMeanQuasiIndependent:
