@@ -20,6 +20,7 @@ the atoms; nothing here is Monte Carlo except the explicit estimators.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -98,6 +99,8 @@ class EnvironmentLaw:
     gauss_sd: float = None
 
     def __post_init__(self):
+        # tuples all the way down, so that every law is hashable (c_infinity's key)
+        object.__setattr__(self, "atoms", tuple((p, tuple(d)) for p, d in self.atoms))
         if self.family in ("two-point", "generic"):
             if any(not (math.isfinite(p) and p >= 0.0) for p, _ in self.atoms):
                 raise CalibrationError("atom probabilities must be finite and >= 0")
@@ -563,27 +566,30 @@ class CInfinity:
     bracket: tuple
 
 
-def _tilted_step_nodes(law: EnvironmentLaw):
+def _tilted_step_nodes(law: EnvironmentLaw, nodes: int, root_tol: float):
     """(values, probabilities) of the tilted step.
 
-    Finite-atom laws give the atoms of :func:`many_to_one_step_law`. The
-    gaussian family's tilted step is N(mean - sd^2, sd^2); it is replaced by
-    ``GAUSS_HERMITE_NODES`` Gauss-Hermite nodes.
+    Finite-atom laws give the atoms of :func:`many_to_one_step_law`, which
+    checks calibration against ``ROOT_TOL`` itself, the value that
+    :func:`c_infinity` passes as ``root_tol``. The gaussian family's tilted
+    step is N(mean - sd^2, sd^2); it is replaced by ``nodes`` Gauss-Hermite
+    nodes, and its calibration is checked against ``root_tol``.
     """
     if law.family != "gaussian":
         atoms = many_to_one_step_law(law)
         return np.array([v for v, _ in atoms]), np.array([p for _, p in atoms])
     psi1 = log_laplace(law, 1.0)
-    if abs(psi1) > ROOT_TOL:
+    if abs(psi1) > root_tol:
         raise CalibrationError(f"psi(1) = {psi1}, not 0: the tilted step has no law")
-    x, w = np.polynomial.hermite_e.hermegauss(GAUSS_HERMITE_NODES)
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
     sd = law.gauss_sd
     return law.gauss_mean - sd * sd + sd * x, w / math.sqrt(2.0 * math.pi)
 
 
 def _interpolation(logq, weights, x0, h, intervals, mean_p):
-    """Gather indices K, weights W and tail values t such that
-    (u[K] * W).sum(axis=0) + t == (weights * u(exp(logq))).sum(axis=0).
+    """Lower grid indices K, weights L and U of the lower and upper nodes and
+    tail values t such that u[K] * L + u[K + 1] * U, summed over axis 0, plus
+    t equals (weights * u(exp(logq))).sum(axis=0).
 
     ``u`` holds values on the grid x0 + h * i, i = 0..intervals, of log y, is
     linear in log y between grid points and equals 1 - mean_p / y above the
@@ -595,32 +601,42 @@ def _interpolation(logq, weights, x0, h, intervals, mean_p):
     t = pos - k
     w = np.where(inside, weights, 0.0)
     tail = np.where(inside, 0.0, weights * (1.0 - mean_p * np.exp(-logq))).sum(axis=0)
-    return np.concatenate([k, k + 1]), np.concatenate([w * (1.0 - t), w * t]), tail
+    return k, w * (1.0 - t), w * t, tail
 
 
-def _perpetuity_solve(xi, p, mean_p, intervals):
+def _perpetuity_solve(xi, p, mean_p, intervals, y_max, tol, max_iter):
     """c_inf = E[u(e^xi)] from the fixed point u(y) = y/(1+y) E[u(e^xi (1+y))]
-    on a grid of ``intervals`` intervals in log y."""
+    on a grid of ``intervals`` intervals in log y up to log ``y_max``, swept
+    until the sup-norm change is at most ``tol``, at most ``max_iter`` times."""
     x0 = float(xi.min())
-    x1 = max(math.log(C_INF_Y_MAX), x0 + 1.0)
+    x1 = max(math.log(y_max), x0 + 1.0)
     h = (x1 - x0) / intervals
     x = x0 + h * np.arange(intervals + 1)
     # one row per step value; log(e^xi (1+y)) >= x0, so the grid covers each query
     logq = xi[:, None] + np.logaddexp(0.0, x)
     ratio = 1.0 / (1.0 + np.exp(-x))  # y / (1+y)
-    idx, w, tail = _interpolation(logq, p[:, None] * ratio, x0, h, intervals, mean_p)
+    k, lower, upper, tail = _interpolation(logq, p[:, None] * ratio, x0, h, intervals, mean_p)
     u = 1.0 / (1.0 + mean_p * np.exp(-x))  # y / (y + E[P]), the tail's first order
-    for _ in range(C_INF_MAX_ITER):
-        nxt = (u[idx] * w).sum(axis=0) + tail
+    for _ in range(max_iter):
+        # every lower-node row, then every upper-node row, added in turn: the
+        # bits of summing the stacked (2 * atoms, N) products over axis 0
+        above = u[1:]
+        nxt = u[k[0]] * lower[0]
+        for j in range(1, len(k)):
+            nxt += u[k[j]] * lower[j]
+        for j in range(len(k)):
+            nxt += above[k[j]] * upper[j]
+        nxt += tail
         gap = float(np.max(np.abs(nxt - u)))
         u = nxt
-        if gap <= C_INF_TOL:
+        if gap <= tol:
             break
     else:
         raise SolverError(
-            f"c_inf fixed point not converged in {C_INF_MAX_ITER} iterations", residual=gap)
-    idx, w, tail = _interpolation(xi[:, None], p[:, None], x0, h, intervals, mean_p)
-    return float((u[idx] * w).sum() + tail[0])
+            f"c_inf fixed point not converged in {max_iter} iterations", residual=gap)
+    k, lower, upper, tail = _interpolation(xi[:, None], p[:, None], x0, h, intervals, mean_p)
+    # one flat (pairwise) sum over the stacked products, lower rows first
+    return float(np.concatenate([u[k] * lower, u[1:][k] * upper]).sum() + tail[0])
 
 
 def c_infinity(law: EnvironmentLaw) -> CInfinity:
@@ -641,14 +657,28 @@ def c_infinity(law: EnvironmentLaw) -> CInfinity:
     need many; the solve raises :class:`SolverError` when the sup-norm
     change has not fallen to ``C_INF_TOL`` within ``C_INF_MAX_ITER`` sweeps,
     and :class:`DomainError` when psi(2) >= 0 (E[P] infinite).
+
+    The solve runs once per law and set of solver constants in a process
+    (``C_INF_GRID``, ``C_INF_Y_MAX``, ``C_INF_TOL``, ``C_INF_MAX_ITER``,
+    ``GAUSS_HERMITE_NODES``, ``ROOT_TOL``, read at each call); later calls
+    return the same frozen :class:`CInfinity`, with the same bits. The first
+    call still pays the whole solve. Failed solves are not kept: they raise
+    again on every call.
     """
+    return _c_infinity_solved(law, C_INF_GRID, C_INF_Y_MAX, C_INF_TOL, C_INF_MAX_ITER,
+                              GAUSS_HERMITE_NODES, ROOT_TOL)
+
+
+@functools.lru_cache(maxsize=32)
+def _c_infinity_solved(law, grid, y_max, tol, max_iter, nodes, root_tol) -> CInfinity:
+    """:func:`c_infinity` of ``law`` under the given solver constants."""
     psi2 = log_laplace(law, 2.0)
     if psi2 >= 0.0:
         raise DomainError("psi(2) >= 0: the perpetuity has no finite mean")
-    xi, p = _tilted_step_nodes(law)
+    xi, p = _tilted_step_nodes(law, nodes, root_tol)
     mean_p = 1.0 / (1.0 - math.exp(psi2))
-    coarse = _perpetuity_solve(xi, p, mean_p, C_INF_GRID)
-    fine = _perpetuity_solve(xi, p, mean_p, 2 * C_INF_GRID)
+    coarse = _perpetuity_solve(xi, p, mean_p, grid, y_max, tol, max_iter)
+    fine = _perpetuity_solve(xi, p, mean_p, 2 * grid, y_max, tol, max_iter)
     return CInfinity(fine, abs(fine - coarse) / 3.0, (1.0 - math.exp(psi2), 1.0))
 
 

@@ -367,9 +367,10 @@ def run_band_experiment(
 
 def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
     """(statistic, target) of one replica; the volume target still lacks the
-    c_inf**k factor. None when the ratio's denominator vanishes. The target
-    sums generation min(l_star, depth) of the tree's top, completed on the
-    stream tagged fill/n."""
+    c_inf**k factor. None when a ratio's denominator vanishes: the band has
+    no admissible tuple, or generation min(l_star, depth) holds fewer than k
+    vertices (A_l(1) = 0). The target sums that generation of the tree's top,
+    completed on the stream tagged fill/n."""
     num = general_range(sl, k, constraint)
     lstar = min(l_star, sl.tree.depth)
     tree = sl.tree.filled(lstar, rngmod.stream(seed, f"fill/{n}", rep))
@@ -379,8 +380,10 @@ def _constrained_measure(experiment, k, constraint, l_star, seed, n, rep, sl):
     # the unconstrained band sum is the tuple count general_range already took
     if num.tuple_count == 0:
         return None
-    a_f = weighted_range_A_l(tree, k, lstar, constraint)
-    return num.value / num.tuple_count, a_f / weighted_range_A_l(tree, k, lstar, None)
+    a_1 = weighted_range_A_l(tree, k, lstar, None)
+    if a_1 == 0.0:
+        return None
+    return num.value / num.tuple_count, weighted_range_A_l(tree, k, lstar, constraint) / a_1
 
 
 def _deviation_row(n, stats, targets, relative=False) -> dict:
@@ -525,6 +528,8 @@ def limit_report(
     constant c_inf is computed deterministically by
     :func:`gwrange.environment.c_infinity`, only where a target reads it:
     for ``band-volume`` and ``constrained-volume``, whose reports record it.
+    That solve runs once per law in a process, so only the first such report
+    pays it; the report is the same whether it was solved or reused.
     Arguments that :func:`limit_report_problem` refuses raise ``ValueError``
     before any replica is drawn.
     """

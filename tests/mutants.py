@@ -50,6 +50,27 @@ def _p_up_scaled(factor):
          "tests/test_acceptance.py::test_acc09_band_volume_trend"))
 
 
+_C_INF_KEY = ("_c_infinity_solved(law, C_INF_GRID, C_INF_Y_MAX, C_INF_TOL, C_INF_MAX_ITER,\n"
+              "                              GAUSS_HERMITE_NODES, ROOT_TOL)")
+_C_INF_CHANGED = ("tests/test_environment.py::TestDeterministicCInfinity"
+                  "::test_changed_constant_solves_again")
+
+
+def _c_inf_key_without(name, value, *tests):
+    # the cache key holds the constant's default value, not the module's
+    return Mutant(
+        f"c_inf-key-without-{name}", "environment.py", _C_INF_KEY,
+        _C_INF_KEY.replace(name, value), (f"{_C_INF_CHANGED}[{name}]",) + tests)
+
+
+_C_INF_SWEEP = """        nxt = u[k[0]] * lower[0]
+        for j in range(1, len(k)):
+            nxt += u[k[j]] * lower[j]
+        for j in range(len(k)):
+            nxt += above[k[j]] * upper[j]
+        nxt += tail
+"""
+
 MUTANTS = (
     Mutant("child-order-reversed", "environment.py",
            "            for x in d:\n                disp[pos] = x",
@@ -141,6 +162,22 @@ MUTANTS = (
            "for g in range(len(chain)):", "for g in range(1, len(chain)):",
            ("tests/test_quenched.py::TestOracle",
             "tests/test_acceptance.py::test_acc01_oracle_agreement")),
+    # the keyed cache of the deterministic c_inf, and its cold solve's bits
+    _c_inf_key_without("C_INF_GRID", "20_000",
+                       "tests/test_environment.py::TestDeterministicCInfinity"
+                       "::test_grid_doubling_within_error"),
+    _c_inf_key_without("C_INF_Y_MAX", "1e7"),
+    _c_inf_key_without("C_INF_TOL", "1e-13"),
+    _c_inf_key_without("C_INF_MAX_ITER", "2_000"),
+    _c_inf_key_without("GAUSS_HERMITE_NODES", "24"),
+    _c_inf_key_without("ROOT_TOL", "1e-9"),
+    # the same sum in another order: each atom's lower and upper node together
+    Mutant("c_inf-sweep-adds-atom-by-atom", "environment.py", _C_INF_SWEEP,
+           "        nxt = u[k[0]] * lower[0] + above[k[0]] * upper[0]\n"
+           "        for j in range(1, len(k)):\n"
+           "            nxt += u[k[j]] * lower[j] + above[k[j]] * upper[j]\n"
+           "        nxt += tail\n",
+           ("tests/test_environment.py::TestDeterministicCInfinity::test_bits_pinned",)),
     Mutant("ancestor-table-skips-the-root", "walk.py",
            "for g in range(self.max_generation, -1, -1):",
            "for g in range(self.max_generation, 0, -1):",

@@ -101,6 +101,19 @@ class TestSubcommands:
         assert rep["grid"][0]["mean"] is not None and rep["grid"][0]["se"] is None
         assert all(rep["grid"][1][key] is None for key in ("mean", "se", "target", "deviation"))
 
+    def test_verify_ratio_drops_replica_without_a_target(self, tmp_path, capsys):
+        # README's command on seed 166: replica 12 at n = 1e5 has one vertex in
+        # generation 12, so A_l(1) = 0 and that replica has no ratio target
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", "constrained-ratio", "--constraint", "f_lambda:3",
+                        "--seed", "166"], tmp_path)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "ok"
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert all(row["se"] is not None for row in rep["grid"])
+
     def test_verify_local_time_probe(self, tmp_path):
         assert run(["verify", "local-time", "--n-grid", "16,2000",
                     "--replicas", "5", "--seed", "6"], tmp_path) == 0

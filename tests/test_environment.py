@@ -313,7 +313,60 @@ C_INF_LAWS = {
 }
 
 
+# float.hex of c_infinity's (value, error), pinned from a cold solve
+C_INF_BITS = {
+    "default": ("0x1.6d5442a26a458p-2", "0x1.155c9f8000000p-29"),
+    "two-point": ("0x1.10c6e25ff7fb2p-1", "0x1.553fbfaaaaaabp-29"),
+    "three-atom": ("0x1.c143a46a867dfp-2", "0x1.1e9446aaaaaabp-29"),
+    "gaussian": ("0x1.a9326cfd204fap-2", "0x1.69a5f9aaaaaabp-29"),
+}
+
+
 class TestDeterministicCInfinity:
+    @pytest.mark.parametrize("name", list(C_INF_LAWS))
+    def test_bits_pinned(self, name):
+        environment._c_infinity_solved.cache_clear()
+        got = g.c_infinity(C_INF_LAWS[name])
+        assert (got.value.hex(), got.error.hex()) == C_INF_BITS[name]
+
+    def test_repeat_call_does_not_solve_again(self, monkeypatch):
+        law = g.two_point_law(q=0.45, a=-0.05, m=3)  # no other test solves this law
+        calls = []
+        solve = environment._perpetuity_solve
+
+        def counting(*args):
+            calls.append(args[3])
+            return solve(*args)
+
+        monkeypatch.setattr(environment, "_perpetuity_solve", counting)
+        first = g.c_infinity(law)
+        assert calls == [environment.C_INF_GRID, 2 * environment.C_INF_GRID]
+        assert g.c_infinity(law) is first
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name, value, law, error", [
+        pytest.param("C_INF_GRID", 10_000, "default", None, id="C_INF_GRID"),
+        pytest.param("C_INF_Y_MAX", 1e8, "default", None, id="C_INF_Y_MAX"),
+        pytest.param("C_INF_TOL", 1e-8, "default", None, id="C_INF_TOL"),
+        pytest.param("C_INF_MAX_ITER", 3, "default", SolverError, id="C_INF_MAX_ITER"),
+        pytest.param("GAUSS_HERMITE_NODES", 12, "gaussian", None, id="GAUSS_HERMITE_NODES"),
+        pytest.param("ROOT_TOL", -1.0, "default", CalibrationError, id="ROOT_TOL"),
+    ])
+    def test_changed_constant_solves_again(self, name, value, law, error, monkeypatch):
+        law = C_INF_LAWS[law]
+        warm = g.c_infinity(law)
+        monkeypatch.setattr(environment, name, value)
+        if error is not None:
+            # a failed solve is not kept: it raises on every call
+            for _ in range(2):
+                with pytest.raises(error):
+                    g.c_infinity(law)
+            return
+        changed = g.c_infinity(law)
+        assert changed.value != warm.value
+        environment._c_infinity_solved.cache_clear()
+        assert g.c_infinity(law) == changed
+
     @pytest.mark.parametrize("name", ["default", "two-point", "three-atom"])
     def test_matches_monte_carlo(self, name):
         law = C_INF_LAWS[name]
@@ -353,11 +406,18 @@ class TestDeterministicCInfinity:
         with pytest.raises(SolverError):
             g.c_infinity(law)
 
+    def test_law_built_from_lists_is_solved(self):
+        law = C_INF_LAWS["three-atom"]
+        listed = g.EnvironmentLaw("generic", [[p, list(d)] for p, d in law.atoms])
+        assert listed == law
+        assert g.c_infinity(listed) == g.c_infinity(law)
+
     def test_infinite_perpetuity_mean_refused(self):
         law = g.two_point_law(q=0.9, a=-0.1, m=3)
         assert g.log_laplace(law, 2.0) > 0.0
-        with pytest.raises(DomainError):
-            g.c_infinity(law)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                g.c_infinity(law)
 
     def test_gaussian_step_law_still_refused(self):
         with pytest.raises(DomainError):
@@ -571,4 +631,7 @@ def test_law_text_round_trip_keeps_c_infinity(law):
     assume(g.log_laplace(law, 2.0) < -0.2)
     back = g.law_from_text(g.law_to_text(law))
     assert back == law
-    assert g.c_infinity(back) == g.c_infinity(law)
+    solved = g.c_infinity(law)
+    # the equal law would read the same cache entry: solve it afresh
+    environment._c_infinity_solved.cache_clear()
+    assert g.c_infinity(back) == solved

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import math
 import textwrap
 import tracemalloc
@@ -307,6 +308,18 @@ class TestReports:
         a = g.limit_report(experiment, law, [2000], **kw)
         b = g.limit_report(experiment, law, [2000], threads=2, **kw)
         assert a == b
+
+    def test_report_same_bytes_with_c_infinity_solved_or_reused(self, law):
+        def report():
+            rep = g.limit_report("constrained-volume", law, [2000],
+                                 constraint=g.make_F_ell_s(1, [3], 2), replicas=3, seed=12,
+                                 l_star=8)
+            return json.dumps(rep, sort_keys=True).encode()
+
+        first = report()
+        assert report() == first
+        environment._c_infinity_solved.cache_clear()
+        assert report() == first
 
     @pytest.mark.parametrize("experiment", ["band-volume", "constrained-volume",
                                             "constrained-ratio"])
